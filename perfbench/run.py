@@ -8,7 +8,7 @@ Usage (from the repository root):
 The build goes to $CARGO_TARGET_DIR if set, else .bench_build, as a Release
 CMake build of perfbench/ (which compiles the library from src/). Build
 output goes to stderr, so the last line of stdout is the benchmark's JSON
-result. Traced runs (--trace 1) also write per-task span roll-ups as CSV
+result. Traced runs (--trace 1) also write per-task call totals as CSV
 under <build dir>/trace/.
 """
 

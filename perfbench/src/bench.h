@@ -7,14 +7,15 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/core/weighted.h"
 #include "src/datagen/workloads.h"
 #include "src/runtime/task.h"
 #include "src/runtime/thread_engine.h"
@@ -24,7 +25,6 @@ namespace perfbench {
 using ajoin::Envelope;
 using ajoin::StreamTuple;
 using ajoin::TupleBatch;
-using ajoin::WeightedAccum;
 
 /// CLOCK_MONOTONIC in nanoseconds (the clock every benchmark time uses).
 inline int64_t NowNs() {
@@ -60,8 +60,40 @@ struct PairDigest {
   }
 };
 
-/// Per-group aggregates keyed by group key (COUNT, SUM, MIN, MAX, tuples).
-using GroupTable = std::map<int64_t, WeightedAccum>;
+/// One group's aggregates, folded by the benchmark itself (the program's
+/// accumulator is not used on the reference or the checking path): COUNT and
+/// SUM as the doubles the program emits, MIN, MAX and the tuple count.
+struct GroupAgg {
+  double count = 0;
+  double sum = 0;
+  int64_t min = std::numeric_limits<int64_t>::max();
+  int64_t max = std::numeric_limits<int64_t>::min();
+  uint64_t tuples = 0;
+
+  /// One input row of weight 1 and value `value`.
+  void Add(int64_t value) {
+    count += 1;
+    sum += static_cast<double>(value);
+    min = std::min(min, value);
+    max = std::max(max, value);
+    ++tuples;
+  }
+  /// A partial aggregate of the same group.
+  void Fold(const GroupAgg& o) {
+    count += o.count;
+    sum += o.sum;
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    tuples += o.tuples;
+  }
+  bool operator==(const GroupAgg& o) const {
+    return count == o.count && sum == o.sum && min == o.min && max == o.max &&
+           tuples == o.tuples;
+  }
+};
+
+/// Per-group aggregates keyed by group key.
+using GroupTable = std::map<int64_t, GroupAgg>;
 
 /// Empty when `got` matches the reference; otherwise what differs.
 std::string CheckPairs(const PairDigest& want, const PairDigest& got);
@@ -170,15 +202,7 @@ class BenchSink : public ajoin::Task {
 /// The layer a traced task belongs to (classified from its concrete type).
 enum class Layer { kReshuffler, kJoiner, kAggRouter, kAggWorker, kSink, kOther };
 
-/// One timed OnBatch/OnMessage call.
-struct Span {
-  int64_t start_ns = 0;   // CLOCK_MONOTONIC at entry
-  uint32_t wall_ns = 0;   // call duration (saturating)
-  uint32_t cpu_ns = 0;    // thread CPU time inside the call (saturating)
-  uint32_t envelopes = 0;
-};
-
-/// Per-task roll-up of a task's spans.
+/// Per-task totals of the timed OnBatch/OnMessage calls.
 struct TaskTrace {
   int task = -1;
   Layer layer = Layer::kOther;
@@ -190,9 +214,10 @@ struct TaskTrace {
 
 /// A timing adapter implementing the public Engine interface around a
 /// ThreadEngine: every task registered through it is wrapped so each
-/// OnBatch/OnMessage call is timed in wall clock and thread CPU time. Spans
-/// stay in per-task memory until the run ends. task(id) hands out the
-/// wrapped task, so operator facades see their own cores.
+/// OnBatch/OnMessage call is timed in wall clock and thread CPU time and
+/// added to the task's running totals, which stay in memory until the run
+/// ends. task(id) hands out the wrapped task, so operator facades see their
+/// own cores.
 class TracingEngine : public ajoin::Engine {
  public:
   explicit TracingEngine(const ajoin::ExchangeConfig& config);
@@ -213,9 +238,9 @@ class TracingEngine : public ajoin::Engine {
   uint64_t NowMicros() const override { return inner_.NowMicros(); }
 
   ajoin::ThreadEngine& inner() { return inner_; }
-  /// Per-task roll-ups of the spans recorded so far (engine quiescent).
+  /// Per-task totals of the calls timed so far (engine quiescent).
   std::vector<TaskTrace> Summaries() const;
-  /// Writes every task's roll-up as CSV to `path`. Returns false on I/O
+  /// Writes every task's totals as CSV to `path`. Returns false on I/O
   /// error.
   bool WriteSummaries(const std::string& path) const;
 

@@ -21,6 +21,7 @@
 // workloads, the metrics and what each per-layer metric should move.
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cinttypes>
@@ -83,6 +84,21 @@ uint64_t StatusKb(const char* field) {
     }
   }
   return 0;
+}
+
+/// Time the hypervisor ran other guests while this machine's CPUs wanted to
+/// run (the `steal` column of /proc/stat's `cpu` line, summed over CPUs), in
+/// ms; 0 where the file is unreadable. Only read, to flag rounds whose
+/// timings the host disturbed.
+double HostStealMs() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  uint64_t f[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  in >> cpu;
+  for (uint64_t& x : f) in >> x;
+  if (!in || cpu != "cpu") return 0;
+  return 1e3 * static_cast<double>(f[7]) /
+         static_cast<double>(sysconf(_SC_CLK_TCK));
 }
 
 struct Usage {
@@ -366,6 +382,7 @@ struct RoundResult {
   double push_s = 0;   // first push -> last Push returned
   double flush_s = 0;  // EOS sent -> quiescence
   Usage usage;         // process CPU and context switches over run_s
+  double steal_ms = 0;  // host steal time over run_s, all CPUs
   double ilf_mb = 0;
   double latency_p50_ms = 0;
   double latency_p99_ms = 0;
@@ -375,7 +392,7 @@ struct RoundResult {
   std::vector<ajoin::EdgeStatsSnapshot> edges;
   uint64_t task_threads = 0;
   int ingress_producer_base = 0;  // edge producers >= this are ingress ports
-  std::vector<TaskTrace> spans;   // traced engine only
+  std::vector<TaskTrace> tasks;   // traced engine only
   uint64_t reshuffler_sent = 0;
   uint64_t joiner_in = 0;
   uint64_t probe_candidates = 0;
@@ -453,6 +470,7 @@ RoundResult RunRound(const Workload& w, EngineKind kind, bool paced,
   const size_t n = w.total();
   std::vector<uint32_t> lag_ns;
   const Usage u0 = Usage::Now();
+  const double steal0 = HostStealMs();
   const int64_t t0 = NowNs();
   if (!paced) {
     for (size_t i = 0; i < n; ++i) {
@@ -490,6 +508,7 @@ RoundResult RunRound(const Workload& w, EngineKind kind, bool paced,
   engine->WaitQuiescent();
   const int64_t t_end = NowNs();
   res.usage = Usage::Now() - u0;
+  res.steal_ms = HostStealMs() - steal0;
   res.push_s = 1e-9 * static_cast<double>(t_pushed - t0);
   res.flush_s = 1e-9 * static_cast<double>(t_end - t_pushed);
   res.run_s = 1e-9 * static_cast<double>(t_end - t0);
@@ -530,7 +549,7 @@ RoundResult RunRound(const Workload& w, EngineKind kind, bool paced,
     res.ingress_producer_base = static_cast<int>(engine->num_tasks());
   }
   if (traced != nullptr) {
-    res.spans = traced->Summaries();
+    res.tasks = traced->Summaries();
     if (!span_csv.empty() && !traced->WriteSummaries(span_csv)) {
       std::fprintf(stderr, "perfbench: cannot write %s\n", span_csv.c_str());
     }
@@ -568,10 +587,11 @@ void PrintResult(bool correct, uint64_t attempted, uint64_t failed,
 bool Report(const char* phase, size_t index, const RoundResult& r) {
   std::fprintf(stderr,
                "perfbench: %s round %zu: %.3f s, %.0f tuples/s, %" PRIu64
-               " migrations, p50/p99 %.3f/%.3f ms, cpu %.3f s\n",
+               " migrations, p50/p99 %.3f/%.3f ms, cpu %.3f s, host steal "
+               "%.0f ms\n",
                phase, index, r.run_s,
                static_cast<double>(r.tuples) / r.run_s, r.migrations,
-               r.latency_p50_ms, r.latency_p99_ms, r.usage.cpu_s);
+               r.latency_p50_ms, r.latency_p99_ms, r.usage.cpu_s, r.steal_ms);
   for (const CheckResult& c : r.checks) {
     if (!c.error.empty()) {
       std::fprintf(stderr, "perfbench: %s round %zu: check %s failed: %s\n",
@@ -629,7 +649,7 @@ int RunEndToEnd(const Workload& w, double seconds, uint64_t rss_base_kb) {
   return 0;
 }
 
-/// Per-layer sums of traced task spans.
+/// Per-layer sums of the traced tasks' call totals.
 struct LayerTime {
   double wall_ms = 0;
   double cpu_ms = 0;
@@ -637,9 +657,9 @@ struct LayerTime {
   std::vector<double> task_cpu_ms;  // tasks that ran at least once
 };
 
-std::map<Layer, LayerTime> ByLayer(const std::vector<TaskTrace>& spans) {
+std::map<Layer, LayerTime> ByLayer(const std::vector<TaskTrace>& tasks) {
   std::map<Layer, LayerTime> out;
-  for (const TaskTrace& t : spans) {
+  for (const TaskTrace& t : tasks) {
     LayerTime& l = out[t.layer];
     l.wall_ms += 1e-6 * static_cast<double>(t.wall_ns);
     l.cpu_ms += 1e-6 * static_cast<double>(t.cpu_ns);
@@ -665,7 +685,7 @@ void AddRuntime(const char* phase, const RoundResult& r,
                 std::vector<Metric>* out) {
   const std::string p = std::string("runtime.") + phase + ".";
   double wall_ms = 0, cpu_ms = 0;
-  for (const TaskTrace& t : r.spans) {
+  for (const TaskTrace& t : r.tasks) {
     wall_ms += 1e-6 * static_cast<double>(t.wall_ns);
     cpu_ms += 1e-6 * static_cast<double>(t.cpu_ns);
   }
@@ -710,7 +730,7 @@ int RunTraced(const Workload& w, double seconds, const std::string& dir) {
   correct = Report("simulated", 0, s) && correct;
   attempted += c.tuples + p.tuples + s.tuples;
 
-  std::map<Layer, LayerTime> layers = ByLayer(c.spans);
+  std::map<Layer, LayerTime> layers = ByLayer(c.tasks);
   const Observed& o = c.observed;
   uint64_t routed = 0;
   for (uint64_t x : o.routed) routed += x;
@@ -848,10 +868,12 @@ int SelfTest() {
           std::advance(it, o.groups.size() / 2);
           if (what == 0) it->second.sum += 1;    // wrong group sum
           if (what == 1) o.groups.erase(it);     // one group row dropped
-          if (what == 2) it->second.Absorb(it->second);  // row duplicated
+          if (what == 2) it->second.Fold(it->second);  // row duplicated
+          if (what == 3) it->second.min -= 1;    // wrong group min
           return o;
         };
         expect(w, "one wrong group sum", corrupt(0), "reference");
+        expect(w, "one wrong group min", corrupt(3), "reference");
         expect(w, "one group row dropped", corrupt(1), "reference");
         expect(w, "one group row dropped", corrupt(1), "sink_tuples");
         expect(w, "one group row duplicated", corrupt(2), "reference");

@@ -48,13 +48,17 @@ std::string CheckGroups(const GroupTable& want, const GroupTable& got) {
     if (it == got.end()) return "group " + std::to_string(key) + " missing";
     if (!(it->second == acc)) {
       char buf[256];
+      const GroupAgg& g = it->second;
       std::snprintf(buf, sizeof(buf),
-                    "group %lld: count/sum/tuples %.17g/%.17g/%llu != "
-                    "%.17g/%.17g/%llu",
+                    "group %lld: count/sum/min/max/tuples "
+                    "%.17g/%.17g/%lld/%lld/%llu != %.17g/%.17g/%lld/%lld/%llu",
                     static_cast<long long>(key), acc.count, acc.sum,
-                    static_cast<unsigned long long>(acc.tuples),
-                    it->second.count, it->second.sum,
-                    static_cast<unsigned long long>(it->second.tuples));
+                    static_cast<long long>(acc.min),
+                    static_cast<long long>(acc.max),
+                    static_cast<unsigned long long>(acc.tuples), g.count,
+                    g.sum, static_cast<long long>(g.min),
+                    static_cast<long long>(g.max),
+                    static_cast<unsigned long long>(g.tuples));
       return buf;
     }
   }
@@ -64,13 +68,13 @@ std::string CheckGroups(const GroupTable& want, const GroupTable& got) {
 GroupTable FoldGroupRows(const std::vector<ajoin::Row>& rows) {
   GroupTable out;
   for (const ajoin::Row& row : rows) {
-    WeightedAccum part;
+    GroupAgg part;
     part.count = row.Double(1);
     part.sum = row.Double(2);
     part.min = row.Int64(3);
     part.max = row.Int64(4);
     part.tuples = static_cast<uint64_t>(row.Int64(5));
-    out[row.Int64(0)].Absorb(part);
+    out[row.Int64(0)].Fold(part);
   }
   return out;
 }
@@ -122,11 +126,6 @@ void BenchSink::OnBatch(TupleBatch batch, ajoin::Context& ctx) {
 
 namespace {
 
-uint32_t Saturate32(int64_t v) {
-  return static_cast<uint32_t>(
-      std::clamp<int64_t>(v, 0, std::numeric_limits<uint32_t>::max()));
-}
-
 Layer Classify(const ajoin::Task* task) {
   if (dynamic_cast<const ajoin::ReshufflerCore*>(task)) return Layer::kReshuffler;
   if (dynamic_cast<const ajoin::JoinerCore*>(task)) return Layer::kJoiner;
@@ -153,9 +152,7 @@ const char* LayerName(Layer layer) {
 class TracingEngine::TimedTask : public ajoin::Task {
  public:
   explicit TimedTask(std::unique_ptr<ajoin::Task> inner)
-      : inner_(std::move(inner)), layer_(Classify(inner_.get())) {
-    spans_.reserve(1 << 12);
-  }
+      : inner_(std::move(inner)), layer_(Classify(inner_.get())) {}
 
   void OnMessage(Envelope msg, ajoin::Context& ctx) override {
     const int64_t t0 = NowNs();
@@ -165,7 +162,7 @@ class TracingEngine::TimedTask : public ajoin::Task {
   }
 
   void OnBatch(TupleBatch batch, ajoin::Context& ctx) override {
-    const uint32_t n = static_cast<uint32_t>(batch.size());
+    const uint64_t n = batch.size();
     const int64_t t0 = NowNs();
     const int64_t c0 = ThreadCpuNs();
     inner_->OnBatch(std::move(batch), ctx);
@@ -175,19 +172,26 @@ class TracingEngine::TimedTask : public ajoin::Task {
   bool dormant() const override { return inner_->dormant(); }
 
   ajoin::Task* inner() const { return inner_.get(); }
-  Layer layer() const { return layer_; }
-  const std::vector<Span>& spans() const { return spans_; }
+  /// Totals so far (task id unset).
+  TaskTrace totals() const {
+    TaskTrace t = totals_;
+    t.layer = layer_;
+    return t;
+  }
 
  private:
-  void Record(int64_t t0, int64_t c0, uint32_t n) {
+  void Record(int64_t t0, int64_t c0, uint64_t n) {
     const int64_t c1 = ThreadCpuNs();
     const int64_t t1 = NowNs();
-    spans_.push_back({t0, Saturate32(t1 - t0), Saturate32(c1 - c0), n});
+    ++totals_.calls;
+    totals_.envelopes += n;
+    totals_.wall_ns += static_cast<uint64_t>(t1 - t0);
+    totals_.cpu_ns += static_cast<uint64_t>(c1 - c0);
   }
 
   std::unique_ptr<ajoin::Task> inner_;
   const Layer layer_;
-  std::vector<Span> spans_;  // written only by this task's dispatches
+  TaskTrace totals_;  // written only by this task's dispatches
 };
 
 TracingEngine::TracingEngine(const ajoin::ExchangeConfig& config)
@@ -209,15 +213,8 @@ std::vector<TaskTrace> TracingEngine::Summaries() const {
   std::vector<TaskTrace> out;
   out.reserve(timed_.size());
   for (size_t id = 0; id < timed_.size(); ++id) {
-    TaskTrace t;
+    TaskTrace t = timed_[id]->totals();
     t.task = static_cast<int>(id);
-    t.layer = timed_[id]->layer();
-    for (const Span& s : timed_[id]->spans()) {
-      ++t.calls;
-      t.envelopes += s.envelopes;
-      t.wall_ns += s.wall_ns;
-      t.cpu_ns += s.cpu_ns;
-    }
     out.push_back(t);
   }
   return out;

@@ -183,7 +183,7 @@ void MakeTpchCascade(uint64_t seed, double scale, Workload* w) {
     if (it == stage1_per_supp.end()) continue;
     const int64_t value = kRnBytes + kSupplierBytes + bytes;
     for (uint64_t m = 0; m < it->second; ++m) {
-      w->ref_groups[li.suppkey].Merge(1.0, value);
+      w->ref_groups[li.suppkey].Add(value);
     }
     w->ref_stage2_outputs += it->second;
   }
