@@ -143,14 +143,16 @@ bool MakeWorkload(const std::string& name, uint64_t seed, double scale,
 
 // ------------------------------------------------------------------ sink --
 
-/// Paced-phase schedule shared by the generator and the sink: tuple i is due
-/// at t0_ns + i * period_ns. t0_ns stays 0 outside the paced phase.
+/// Paced-phase schedule shared by the generator and the sink. The stream is
+/// offered in ticks: `per_tick` tuples every tick_ns, so tuple i is due at
+/// t0_ns + (i / per_tick) * tick_ns. t0_ns stays 0 outside the paced phase.
 struct Schedule {
   std::atomic<int64_t> t0_ns{0};
-  double period_ns = 0;
+  int64_t tick_ns = 1;
+  uint64_t per_tick = 1;
   int64_t Due(uint64_t i) const {
     return t0_ns.load(std::memory_order_acquire) +
-           static_cast<int64_t>(static_cast<double>(i) * period_ns);
+           static_cast<int64_t>(i / per_tick) * tick_ns;
   }
 };
 

@@ -10,8 +10,8 @@
 //
 //  - closed rounds push the whole stream as fast as credit backpressure
 //    allows, send EOS and wait for quiescence;
-//  - paced rounds offer the same stream at the workload's fixed rate,
-//    sleeping between due times.
+//  - paced rounds offer a stream of the same make-up at the workload's
+//    fixed rate, in 1 ms ticks, sleeping between ticks.
 //
 // Every round's output is checked against the reference and against the
 // conservation identities (CheckRound). --trace 0 prints the end-to-end
@@ -53,6 +53,12 @@ using ajoin::Engine;
 using ajoin::JoinOperator;
 
 constexpr uint32_t kIngressBatch = 64;
+/// The paced generator offers the tuples due in each 1 ms tick together and
+/// sleeps between ticks. Sleeping until each tuple's own due time instead
+/// flushes a few tuples at a time, every tiny flush wakes task threads, and
+/// these then keep the four cores busy whatever the rate, so the latencies
+/// measure how much CPU the host leaves over rather than the program.
+constexpr int64_t kPacedTickNs = 1000000;
 
 // --------------------------------------------------------------- helpers --
 
@@ -71,6 +77,37 @@ double Quantile(std::vector<uint32_t>& v, double q) {
   std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(idx), v.end());
   return static_cast<double>(v[idx]);
 }
+
+/// Result latencies pooled over rounds: counts in 1 us buckets up to about
+/// one second (longer latencies count in the last bucket).
+class LatencyHistogram {
+ public:
+  void Add(const std::vector<uint32_t>& latencies_ns) {
+    for (uint32_t ns : latencies_ns) {
+      ++counts_[std::min<size_t>(ns / 1000, kBuckets - 1)];
+    }
+    total_ += latencies_ns.size();
+  }
+
+  /// q-quantile in ms, interpolated linearly inside its bucket.
+  double QuantileMs(double q) const {
+    const double rank = q * static_cast<double>(total_);
+    double below = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const double c = counts_[b];
+      if (c > 0 && below + c > rank) {
+        return 1e-3 * (static_cast<double>(b) + (rank - below) / c);
+      }
+      below += c;
+    }
+    return 0;
+  }
+
+ private:
+  static constexpr size_t kBuckets = 1 << 20;
+  std::vector<uint32_t> counts_ = std::vector<uint32_t>(kBuckets, 0);
+  uint64_t total_ = 0;
+};
 
 /// A /proc/self/status field in kB (VmRSS, VmHWM), or 0.
 uint64_t StatusKb(const char* field) {
@@ -386,6 +423,7 @@ struct RoundResult {
   double ilf_mb = 0;
   double latency_p50_ms = 0;
   double latency_p99_ms = 0;
+  std::vector<uint32_t> latencies_ns;  // paced: every result's, reordered
   double gen_lag_p99_ms = 0;
   // Per-layer inputs (threaded engines only).
   ajoin::ExchangeStatsSnapshot exchange;
@@ -444,7 +482,10 @@ RoundResult RunRound(const Workload& w, EngineKind kind, bool paced,
   RoundResult res;
   res.tuples = w.total();
   Schedule schedule;
-  schedule.period_ns = 1e9 / w.paced_rate;
+  schedule.tick_ns = kPacedTickNs;
+  schedule.per_tick = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::llround(w.paced_rate * 1e-9 *
+                                            static_cast<double>(kPacedTickNs))));
 
   const int64_t t_setup = NowNs();
   std::unique_ptr<Engine> engine;
@@ -519,9 +560,9 @@ RoundResult RunRound(const Workload& w, EngineKind kind, bool paced,
   if (record) res.recorded = topo.sink().recorded();
   res.ilf_mb = static_cast<double>(topo.ilf_stage().MaxInBytes()) / (1 << 20);
   if (paced) {
-    std::vector<uint32_t> lat = topo.sink().latencies_ns();
-    res.latency_p50_ms = 1e-6 * Quantile(lat, 0.50);
-    res.latency_p99_ms = 1e-6 * Quantile(lat, 0.99);
+    res.latencies_ns = topo.sink().latencies_ns();
+    res.latency_p50_ms = 1e-6 * Quantile(res.latencies_ns, 0.50);
+    res.latency_p99_ms = 1e-6 * Quantile(res.latencies_ns, 0.99);
     res.gen_lag_p99_ms = 1e-6 * Quantile(lag_ns, 0.99);
   }
   res.sink_batches = topo.sink().batches();
@@ -603,14 +644,32 @@ bool Report(const char* phase, size_t index, const RoundResult& r) {
 
 // ---------------------------------------------------------- measurements --
 
+/// The seed of paced round `round`'s stream, drawn from the run's seed.
+uint64_t PacedSeed(uint64_t seed, size_t round) {
+  return seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(round) + 1));
+}
+
 /// --trace 0: a warm-up round, closed rounds for 30% of the run, then paced
-/// rounds while another one fits; every end-to-end metric.
-int RunEndToEnd(const Workload& w, double seconds, uint64_t rss_base_kb) {
+/// rounds while another one fits; every end-to-end metric. The closed rounds
+/// offer the stream of `seed`; each paced round offers a stream of its own
+/// (PacedSeed), generated into `*wp` in place. On the join workloads the
+/// latency percentiles are taken over the results of all paced rounds
+/// together: a round's p99 rests on a few result bursts (skew_equi: the R
+/// probes of the hottest keys, each emitting up to ~33k results at once), and
+/// pooling the rounds' streams spreads it over many bursts. The cascade's
+/// results are its final aggregates, which all arrive at the flush, so each
+/// round gives one sample of the answer latency; there the median over rounds
+/// of each round's percentile is taken (pooled, p99 would be the worst
+/// round).
+int RunEndToEnd(Workload* wp, uint64_t seed, double seconds,
+                uint64_t rss_base_kb) {
+  const Workload& w = *wp;
   const int64_t start = NowNs();
   auto elapsed = [start] { return 1e-9 * static_cast<double>(NowNs() - start); };
   bool correct = true;
   uint64_t attempted = 0;
   std::vector<double> tps, ilf, p50, p99, cpu;
+  LatencyHistogram latencies;
   // Warm-up round: its set-up is the cold one (setup_s); its throughput is
   // not counted, since later rounds reuse the allocator's warm pages.
   RoundResult warm = RunRound(w, EngineKind::kThreads, false, false, "");
@@ -626,8 +685,11 @@ int RunEndToEnd(const Workload& w, double seconds, uint64_t rss_base_kb) {
   }
   const double paced_round_s = static_cast<double>(w.total()) / w.paced_rate;
   while (cpu.size() < 2 || elapsed() + paced_round_s < seconds) {
+    const std::string name = w.name;  // MakeWorkload resets *wp first
+    MakeWorkload(name, PacedSeed(seed, cpu.size()), 1.0, wp);
     RoundResult r = RunRound(w, EngineKind::kThreads, true, false, "");
     correct = Report("paced", cpu.size(), r) && correct;
+    latencies.Add(r.latencies_ns);
     p50.push_back(r.latency_p50_ms);
     p99.push_back(r.latency_p99_ms);
     cpu.push_back(1e6 * r.usage.cpu_s / static_cast<double>(r.tuples));
@@ -638,10 +700,13 @@ int RunEndToEnd(const Workload& w, double seconds, uint64_t rss_base_kb) {
       static_cast<double>(hwm_kb - std::min(hwm_kb, rss_base_kb)) / 1024.0;
   std::fprintf(stderr, "perfbench: %s closed rounds %zu, paced rounds %zu\n",
                w.name.c_str(), tps.size(), cpu.size());
+  const bool pooled = !w.cascade();
   PrintResult(correct, attempted, 0,
               {{"throughput_tps", Median(tps), "tuples/s"},
-               {"latency_p50_ms", Median(p50), "ms"},
-               {"latency_p99_ms", Median(p99), "ms"},
+               {"latency_p50_ms",
+                pooled ? latencies.QuantileMs(0.50) : Median(p50), "ms"},
+               {"latency_p99_ms",
+                pooled ? latencies.QuantileMs(0.99) : Median(p99), "ms"},
                {"cpu_us_per_tuple", Median(cpu), "us"},
                {"peak_rss_mb", peak_rss_mb, "MB"},
                {"ilf_mb", Median(ilf), "MB"},
@@ -952,6 +1017,6 @@ int main(int argc, char** argv) {
   // Resident memory before any engine exists: the generated input and the
   // reference tables.
   const uint64_t rss_base_kb = StatusKb("VmRSS");
-  return trace == 0 ? RunEndToEnd(w, seconds, rss_base_kb)
+  return trace == 0 ? RunEndToEnd(&w, seed, seconds, rss_base_kb)
                     : RunTraced(w, seconds, trace_dir);
 }

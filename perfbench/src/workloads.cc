@@ -28,15 +28,18 @@ uint64_t Scaled(uint64_t n, double scale) {
                                    static_cast<double>(n) * scale)));
 }
 
-// skew_equi: R holds every key of [1, D] exactly four times, in a random
-// order; S keys are Zipf(1.0) over [1, D], |S| = 4|R|; the two are randomly
+// skew_equi: R is eight passes over [1, D], each pass a random permutation;
+// S keys are Zipf(1.0) over [1, D], |S| = 4|R|; the two are randomly
 // interleaved (R chosen with probability proportional to the remaining R
 // count). The latency tail is set by the R probes of the hottest keys (one
-// emits up to S_1 ~ 30k results); four per key, rather than a Poisson
-// number, keeps that tail alike across seeds. Reference: per-key sums.
+// emits up to S_1 ~ 33k results, all due when the R arrives). Eight per key,
+// one in each eighth of R, rather than a Poisson number at uniform
+// positions, keeps the sizes of those bursts alike across streams and puts
+// several of them, not one, in the top 1% of results. Reference: per-key
+// sums.
 void MakeSkewEqui(uint64_t seed, double scale, Workload* w) {
-  const uint64_t domain = Scaled(20000, scale);
-  const uint64_t n_r = 4 * domain;
+  const uint64_t domain = Scaled(10000, scale);
+  const uint64_t n_r = 8 * domain;
   const uint64_t n_s = 4 * n_r;
   w->kind = Kind::kSkewEqui;
   w->paced_rate = 150000;
@@ -44,8 +47,9 @@ void MakeSkewEqui(uint64_t seed, double scale, Workload* w) {
   ajoin::ZipfSampler zipf(domain, 1.0);
   std::vector<int64_t> r_keys(n_r);
   for (uint64_t i = 0; i < n_r; ++i) {
+    const uint64_t pass = i - i % domain;
     r_keys[i] = static_cast<int64_t>(i % domain + 1);
-    std::swap(r_keys[i], r_keys[rng.Uniform(i + 1)]);
+    std::swap(r_keys[i], r_keys[pass + rng.Uniform(i - pass + 1)]);
   }
   w->stream.reserve(n_r + n_s);
   uint64_t left_r = n_r, left_s = n_s;
@@ -86,7 +90,7 @@ void MakeBandFluct(uint64_t seed, double scale, Workload* w) {
   const uint64_t domain = Scaled(120000, scale);
   const double k = 2.0;
   w->kind = Kind::kBandFluct;
-  w->paced_rate = 75000;
+  w->paced_rate = 100000;
   w->band_width = 2;
   ajoin::Rng rng(seed ^ 0x62616e645f666cULL);
   w->stream.reserve(n);
