@@ -2,7 +2,7 @@
 // with the cardinality ratio |R|/|S| alternating between k and 1/k for
 // k in {2,4,6,8}. To sustain the paper's oscillation through the whole run
 // the two streams have equal total cardinality (the TPC-H Orders side would
-// exhaust after a few phases at our scale; see EXPERIMENTS.md). Adaptivity
+// exhaust after a few phases at our scale). Adaptivity
 // starts after ~1% of the input (the paper's 500K-tuple initiation point).
 //
 // Fig. 8c: the |R|/|S| ratio and the ILF/ILF* competitive ratio over time —

@@ -107,16 +107,11 @@ SurgeResult RunSurge(Mode mode, const std::vector<StreamTuple>& calm,
   JoinOperator op(engine, cfg);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  topts.period_us = 2000;
-  TelemetrySampler sampler(&registry, topts);
   std::unique_ptr<AutoscaleController> ctl;
+  TelemetrySampler::Options topts;
+  topts.period_us = 1000;
+  TelemetrySampler sampler(&registry, topts);
   if (mode == Mode::kAutoscale) {
-    sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-    sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-    sampler.SetTraceSource(&trace);
-    sampler.Start();
-
     AutoscaleConfig ac;
     ac.min_live = 4;
     ac.max_live = 16;
@@ -128,12 +123,14 @@ SurgeResult RunSurge(Mode mode, const std::vector<StreamTuple>& calm,
     ac.surge_ticks = 1;
     ac.idle_ticks = 2;
     ac.cooldown_ticks = 2;
-    AutoscaleController::Options copts;
-    copts.period_us = 1000;
-    ctl = std::make_unique<AutoscaleController>(
-        op, &registry, op.joiner_task_ids(), ac, copts);
-    ctl->SetExchangeSource([&engine] { return engine.exchange_stats(); });
-    ctl->Start();
+    ctl = std::make_unique<AutoscaleController>(op, op.joiner_task_ids(),
+                                                ac);
+    // One loop samples the telemetry export and ticks the controller.
+    sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
+    sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+    sampler.SetTraceSource(&trace);
+    sampler.Attach(ctl.get());
+    sampler.Start();
   }
 
   // Calm phase: paced to ~40k tuples/s, well under any grow trigger.
@@ -156,12 +153,11 @@ SurgeResult RunSurge(Mode mode, const std::vector<StreamTuple>& calm,
   if (ctl != nullptr) {
     // Outside the timed window: the silent stream triggers the fold-down.
     PollUntil([&] { return ctl->shrinks() >= 1; }, 15000);
-    ctl->Stop();
+    sampler.Stop();  // before end-of-stream: no scale request trails EOS
   }
   op.SendEos();
   engine.WaitQuiescent();
   if (mode == Mode::kAutoscale) {
-    sampler.Stop();
     r.grows = ctl->grows();
     r.shrinks = ctl->shrinks();
     for (const TraceEvent& ev : trace.Snapshot()) {

@@ -200,6 +200,9 @@ SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
   std::atomic<bool> stop{false};
 
   std::unique_ptr<ShedController> ctl;
+  TelemetrySampler::Options loop;
+  loop.period_us = 1000;
+  TelemetrySampler sampler(&registry, loop);
   if (shed) {
     ShedConfig sc;
     sc.enter_stall_ratio = 0;  // backlog gauge is the trigger
@@ -209,13 +212,11 @@ SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
     sc.recover_ticks = 4;
     sc.cooldown_ticks = 2;
     sc.min_rate_ppm = kExactPpm / 32;
-    ShedController::Options opts;
-    opts.period_us = 1000;
-    ctl = std::make_unique<ShedController>(op, &registry,
-                                           op.joiner_task_ids(), sc, opts);
-    ctl->SetBacklogSource(
+    ctl = std::make_unique<ShedController>(op, op.joiner_task_ids(), sc);
+    sampler.SetBacklogSource(
         [&backlog] { return backlog.load(std::memory_order_relaxed); });
-    ctl->Start();
+    sampler.Attach(ctl.get());
+    sampler.Start();
   }
 
   SurgeResult r;
@@ -298,7 +299,7 @@ SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
     // Backlog gone: the controller must walk the rate back to exact.
     r.recovered = PollUntil(
         [&] { return ctl->rate_ppm() == kExactPpm; }, 15000);
-    ctl->Stop();
+    sampler.Stop();
     r.rate_changes = ctl->rate_changes();
     for (const ShedController::Action& a : ctl->log()) {
       if (a.rate_ppm < r.min_rate_ppm) r.min_rate_ppm = a.rate_ppm;
@@ -340,9 +341,10 @@ EstimatorResult RunEstimator(int64_t keys, uint64_t s_per_key) {
   const double p = 0.25;
   std::vector<StreamTuple> stream;
   Rng rng(13);
-  // All R first, then all S (shuffled within each phase): every S-probe
-  // matches exactly the 4 stored R rows of its key, so the exact per-key
-  // count is 4 * s_per_key and the per-term range in the bound is tight.
+  // All R first, then all S (shuffled within each phase), with a quiescent
+  // barrier between (ordering is per edge only): every S-probe matches
+  // exactly the 4 stored R rows of its key, so the exact per-key count is
+  // 4 * s_per_key and the per-term range in the bound is tight.
   for (int64_t k = 0; k < keys; ++k) {
     for (int i = 0; i < 4; ++i) {
       StreamTuple t;
@@ -394,7 +396,13 @@ EstimatorResult RunEstimator(int64_t keys, uint64_t s_per_key) {
         return AllJoinersAtRate(registry, static_cast<uint32_t>(p * kExactPpm));
       },
       10000);
-  for (const StreamTuple& t : stream) op.Push(t);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == r_end) {
+      op.FlushInput();
+      engine.WaitQuiescent();
+    }
+    op.Push(stream[i]);
+  }
   df.SendEos();
   engine.WaitQuiescent();
 

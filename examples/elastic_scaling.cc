@@ -1,6 +1,6 @@
-// Elastic runtime scaling (section 4.3, closed into a live loop): a
-// background AutoscaleController watches a running threaded join through
-// the telemetry plane and adds/retires joiner machines mid-stream — the
+// Elastic runtime scaling (section 4.3, closed into a live loop): an
+// AutoscaleController on the telemetry sampler loop watches a running
+// threaded join and adds/retires joiner machines mid-stream — the
 // migration protocol (Alg. 3) reshapes the grid without pausing the input,
 // and the output stays exact throughout.
 //
@@ -69,11 +69,13 @@ int main() {
   ac.surge_ticks = 1;
   ac.idle_ticks = 2;
   ac.cooldown_ticks = 1;
-  AutoscaleController::Options opts;
-  opts.period_us = 1000;
-  AutoscaleController ctl(op, &registry, op.joiner_task_ids(), ac);
-  ctl.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  ctl.Start();
+  AutoscaleController ctl(op, op.joiner_task_ids(), ac);
+  TelemetrySampler::Options loop;
+  loop.period_us = 1000;
+  TelemetrySampler sampler(&registry, loop);
+  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  sampler.Attach(&ctl);
+  sampler.Start();
 
   Rng rng(11);
   const int kTuples = 12000;
@@ -93,7 +95,7 @@ int main() {
   PollUntil([&] { return ctl.grows() >= 1; }, 15000);
   // Silence: the idle trigger folds the grid back down.
   PollUntil([&] { return ctl.shrinks() >= 1; }, 15000);
-  ctl.Stop();
+  sampler.Stop();
   op.SendEos();
   engine.WaitQuiescent();
 

@@ -11,13 +11,13 @@
 // the series as schema-versioned JSON (tools/validate_telemetry.py checks
 // it).
 //
-// `--autoscale <path>` runs the CI surge smoke instead: a threaded run with
-// a live AutoscaleController that must grow on the surge and shrink once
+// `--autoscale <path>` runs the CI surge smoke instead: a threaded run whose
+// telemetry sampler loop ticks an AutoscaleController that must grow on the surge and shrink once
 // the stream goes silent, exporting telemetry whose trace carries both
 // scale events (validate_telemetry.py --require-scale-events enforces it).
 //
-// `--shed <path>` runs the CI overload smoke: a threaded run with a live
-// ShedController that must back the probe-admission rate off when the
+// `--shed <path>` runs the CI overload smoke: a threaded run whose sampler
+// loop ticks a ShedController that must back the probe-admission rate off when the
 // ingress backlog gauge spikes and restore exactness once it drains,
 // exporting telemetry whose trace carries shed events and whose samples
 // show joiners at a sampled rate (validate_telemetry.py
@@ -55,8 +55,8 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
   return pred();
 }
 
-// Surge smoke (--autoscale): a live AutoscaleController on the threaded
-// engine grows the grid under the input surge and folds it back once the
+// Surge smoke (--autoscale): an AutoscaleController on the sampler loop of
+// the threaded engine grows the grid under the input surge and folds it back once the
 // stream goes silent; the telemetry export must carry both scale trace
 // events. Exits nonzero if either scale direction never happened.
 int RunAutoscaleExport(const char* path) {
@@ -79,14 +79,6 @@ int RunAutoscaleExport(const char* path) {
   JoinOperator op(engine, config);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  topts.period_us = 2000;
-  TelemetrySampler sampler(&registry, topts);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
-
   AutoscaleConfig ac;
   ac.min_live = 4;
   ac.max_live = 16;
@@ -96,11 +88,17 @@ int RunAutoscaleExport(const char* path) {
   ac.surge_ticks = 1;
   ac.idle_ticks = 2;
   ac.cooldown_ticks = 1;
-  AutoscaleController::Options copts;
-  copts.period_us = 1000;
-  AutoscaleController ctl(op, &registry, op.joiner_task_ids(), ac, copts);
-  ctl.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  ctl.Start();
+  AutoscaleController ctl(op, op.joiner_task_ids(), ac);
+
+  // One loop samples the telemetry for the export and ticks the controller.
+  TelemetrySampler::Options topts;
+  topts.period_us = 1000;
+  TelemetrySampler sampler(&registry, topts);
+  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  sampler.SetTraceSource(&trace);
+  sampler.Attach(&ctl);
+  sampler.Start();
 
   ArrivalPolicy policy;
   policy.kind = ArrivalPolicy::Kind::kFluctuating;
@@ -120,10 +118,9 @@ int RunAutoscaleExport(const char* path) {
   const bool grew = PollUntil([&] { return ctl.grows() >= 1; }, 15000);
   // Input has gone silent: the idle trigger must shrink back down.
   const bool shrank = PollUntil([&] { return ctl.shrinks() >= 1; }, 15000);
-  ctl.Stop();
+  sampler.Stop();  // before end-of-stream: no scale request trails the EOS
   op.SendEos();
   engine.WaitQuiescent();
-  sampler.Stop();
 
   uint64_t grow_events = 0, shrink_events = 0;
   for (const TraceEvent& ev : trace.Snapshot()) {
@@ -142,8 +139,8 @@ int RunAutoscaleExport(const char* path) {
   return (grew && shrank && wrote) ? 0 : 1;
 }
 
-// Overload smoke (--shed): a live ShedController on the threaded engine
-// backs the admission rate off when the ingress backlog gauge spikes
+// Overload smoke (--shed): a ShedController on the sampler loop of the
+// threaded engine backs the admission rate off when the ingress backlog gauge spikes
 // mid-stream and walks it back to exact once the backlog drains; the
 // telemetry export must carry shed trace events and mid-shed joiner
 // samples. Exits nonzero if either transition never happened.
@@ -166,14 +163,6 @@ int RunShedExport(const char* path) {
   JoinOperator op(engine, config);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  topts.period_us = 1000;
-  TelemetrySampler sampler(&registry, topts);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
-
   ShedConfig sc;
   sc.enter_stall_ratio = 0;  // deterministic smoke: backlog gauge triggers
   sc.enter_backlog = 100;
@@ -181,13 +170,20 @@ int RunShedExport(const char* path) {
   sc.overload_ticks = 1;
   sc.recover_ticks = 1;
   sc.cooldown_ticks = 0;
-  ShedController::Options copts;
-  copts.period_us = 500;
-  ShedController ctl(op, &registry, op.joiner_task_ids(), sc, copts);
+  ShedController ctl(op, op.joiner_task_ids(), sc);
+
+  // One loop samples the telemetry for the export and ticks the controller.
   std::atomic<uint64_t> backlog{0};
-  ctl.SetBacklogSource(
+  TelemetrySampler::Options topts;
+  topts.period_us = 1000;
+  TelemetrySampler sampler(&registry, topts);
+  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  sampler.SetBacklogSource(
       [&backlog] { return backlog.load(std::memory_order_relaxed); });
-  ctl.Start();
+  sampler.SetTraceSource(&trace);
+  sampler.Attach(&ctl);
+  sampler.Start();
 
   const uint32_t exact_ppm = static_cast<uint32_t>(kShedExactPpm);
   auto joiners_at = [&registry](uint32_t rate) {
@@ -229,10 +225,9 @@ int RunShedExport(const char* path) {
   const bool recovered = PollUntil(
       [&] { return ctl.rate_ppm() == exact_ppm && joiners_at(exact_ppm); },
       15000);
-  ctl.Stop();
+  sampler.Stop();  // before end-of-stream: no rate change trails the EOS
   op.SendEos();
   engine.WaitQuiescent();
-  sampler.Stop();
 
   uint64_t enter_events = 0, exit_events = 0;
   for (const TraceEvent& ev : trace.Snapshot()) {

@@ -7,27 +7,23 @@
 // engine:
 //
 //  * AutoscalePolicy — a pure, deterministic state machine: feed it one
-//    AutoscaleSample per tick, get back kHold/kGrow/kShrink. Hysteresis
-//    (consecutive-tick streaks), cooldown after an action, and a hard hold
-//    while a migration is in flight all live here.
-//  * AutoscaleController — a sampler-style thread that builds samples from
-//    MetricsRegistry snapshots (filtered to one operator's joiner tasks)
-//    plus an optional exchange-plane stall source, runs the policy, and
-//    calls Operator::GrowJoiners / ShrinkJoiners. It keeps a decision log
+//    AutoscaleSample per tick, get back kHold/kGrow/kShrink. Its triggers
+//    run through the shared Hysteresis primitive (src/core/control.h):
+//    consecutive-tick streaks, cooldown after an action, and a hard hold
+//    while a migration is in flight.
+//  * AutoscaleController — an observer of the TelemetrySampler loop: each
+//    sample becomes an AutoscaleSample (LoadTracker, filtered to one
+//    operator's joiner tasks), the policy runs, and every decision becomes
+//    an Operator::GrowJoiners / ShrinkJoiners call. It keeps a decision log
 //    for tests and telemetry.
 
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
-#include <functional>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "src/exchange/exchange.h"
+#include "src/core/control.h"
 #include "src/runtime/metrics_registry.h"
 
 namespace ajoin {
@@ -59,21 +55,9 @@ struct AutoscaleConfig {
   uint32_t cooldown_ticks = 5;
 };
 
-/// One observation of the operator, as the policy sees it.
-struct AutoscaleSample {
-  uint64_t t_us = 0;
-  /// Joiners currently inside the live grid (telemetry `active` flag).
-  uint32_t live_joiners = 0;
-  /// Any joiner mid-migration (the policy never acts while true).
-  bool migrating = false;
-  /// Fraction of the tick the exchange plane spent credit-stalled.
-  double stall_ratio = 0;
-  /// Input tuples/sec over the tick (joiner in_tuples delta).
-  double input_rate = 0;
-  /// Max stored tuples on any live joiner (memory-pressure signal for
-  /// logging; the built-in triggers use stall/rate).
-  uint64_t per_joiner_stored = 0;
-};
+/// One observation of the operator, as the policy sees it (the policy reads
+/// live_joiners, migrating, stall_ratio and input_rate).
+using AutoscaleSample = LoadSample;
 
 /// Deterministic scaling decision engine (no engine, no clock, no threads —
 /// drive it with synthetic samples in unit tests).
@@ -82,25 +66,17 @@ class AutoscalePolicy {
   enum class Decision { kHold, kGrow, kShrink };
 
   /// Policy with the given knobs (see AutoscaleConfig defaults).
-  explicit AutoscalePolicy(AutoscaleConfig config) : config_(config) {}
+  explicit AutoscalePolicy(AutoscaleConfig config)
+      : config_(config),
+        hysteresis_(config.surge_ticks, config.idle_ticks,
+                    config.cooldown_ticks) {}
 
-  /// Consumes one tick and returns the decision. Semantics, in order:
-  /// a migrating tick resets both streaks and holds; a cooldown tick
-  /// decrements the cooldown, resets both streaks, and holds; a surge tick
-  /// (stall or rate trigger) extends the surge streak and grows once it
-  /// reaches surge_ticks — bounds permitting; an idle tick symmetrically
-  /// shrinks after idle_ticks; a neutral tick resets both streaks. Every
-  /// action arms the cooldown.
+  /// Consumes one tick and returns the decision. A surge tick (stall or
+  /// rate trigger) is a Hysteresis enter tick and grows after surge_ticks,
+  /// bounds permitting; an idle tick is an exit tick and shrinks after
+  /// idle_ticks; anything else is neutral. A migrating tick is a Hysteresis
+  /// hold. Every action arms the cooldown.
   Decision OnSample(const AutoscaleSample& s) {
-    if (s.migrating) {
-      surge_streak_ = idle_streak_ = 0;
-      return Decision::kHold;
-    }
-    if (cooldown_ > 0) {
-      --cooldown_;
-      surge_streak_ = idle_streak_ = 0;
-      return Decision::kHold;
-    }
     const bool stalled = config_.grow_stall_ratio > 0 &&
                          s.stall_ratio >= config_.grow_stall_ratio;
     const bool rate_surge =
@@ -109,50 +85,33 @@ class AutoscalePolicy {
     const bool idle =
         !stalled && config_.shrink_rate_per_joiner > 0 &&
         s.input_rate < config_.shrink_rate_per_joiner * s.live_joiners;
-    if (stalled || rate_surge) {
-      idle_streak_ = 0;
-      if (++surge_streak_ >= config_.surge_ticks &&
-          s.live_joiners * 4 <= config_.max_live) {
-        surge_streak_ = 0;
-        cooldown_ = config_.cooldown_ticks;
-        return Decision::kGrow;
-      }
+    using Signal = Hysteresis::Signal;
+    const Signal signal = stalled || rate_surge ? Signal::kEnter
+                          : idle                ? Signal::kExit
+                                                : Signal::kNeutral;
+    const bool allowed = signal == Signal::kEnter
+                             ? s.live_joiners * 4 <= config_.max_live
+                             : s.live_joiners / 4 >= config_.min_live &&
+                                   s.live_joiners % 4 == 0;
+    if (!hysteresis_.Step(signal, allowed, s.migrating)) {
       return Decision::kHold;
     }
-    if (idle) {
-      surge_streak_ = 0;
-      if (++idle_streak_ >= config_.idle_ticks &&
-          s.live_joiners / 4 >= config_.min_live &&
-          s.live_joiners % 4 == 0) {
-        idle_streak_ = 0;
-        cooldown_ = config_.cooldown_ticks;
-        return Decision::kShrink;
-      }
-      return Decision::kHold;
-    }
-    surge_streak_ = idle_streak_ = 0;
-    return Decision::kHold;
+    return signal == Signal::kEnter ? Decision::kGrow : Decision::kShrink;
   }
 
   /// Remaining cooldown ticks (testing).
-  uint32_t cooldown() const { return cooldown_; }
+  uint32_t cooldown() const { return hysteresis_.cooldown(); }
 
  private:
   AutoscaleConfig config_;
-  uint32_t surge_streak_ = 0;
-  uint32_t idle_streak_ = 0;
-  uint32_t cooldown_ = 0;
+  Hysteresis hysteresis_;
 };
 
-/// Background controller: samples the telemetry plane at a fixed period,
-/// runs AutoscalePolicy, and drives Operator::GrowJoiners/ShrinkJoiners.
-class AutoscaleController {
+/// Per-operator scaling controller: an observer of the TelemetrySampler
+/// loop that runs AutoscalePolicy on every sample and drives
+/// Operator::GrowJoiners/ShrinkJoiners.
+class AutoscaleController : public SampleObserver {
  public:
-  struct Options {
-    /// Policy tick period for the Start()ed thread.
-    uint64_t period_us = 2000;
-  };
-
   /// One policy action (or observed decision) for the log.
   struct Action {
     uint64_t t_us = 0;
@@ -161,36 +120,19 @@ class AutoscaleController {
     bool accepted = false;   // operator took the request
   };
 
-  /// Watches `registry` cells whose task ids are in `joiner_tasks` (the
-  /// operator's joiner_task_ids()) and scales `op`. Neither is owned; both
-  /// must outlive the controller. Call Start() after the engine starts.
-  AutoscaleController(Operator& op, const MetricsRegistry* registry,
-                      std::vector<int> joiner_tasks, AutoscaleConfig config,
-                      Options options);
-  /// Same, with default Options (2 ms tick).
-  AutoscaleController(Operator& op, const MetricsRegistry* registry,
-                      std::vector<int> joiner_tasks, AutoscaleConfig config);
-  ~AutoscaleController();
+  /// Scales `op` (not owned; must outlive the controller) on the load of
+  /// its joiner cells `joiner_tasks` (the operator's joiner_task_ids()).
+  /// Attach it to the sampler whose registry those cells publish into.
+  AutoscaleController(Operator& op, const std::vector<int>& joiner_tasks,
+                      AutoscaleConfig config);
 
   AutoscaleController(const AutoscaleController&) = delete;
   AutoscaleController& operator=(const AutoscaleController&) = delete;
 
-  /// Adds plane-wide exchange stats to every sample so the stall-ratio
-  /// trigger works (e.g. bind ThreadEngine::exchange_stats). Set before
-  /// Start().
-  void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
-
-  /// Starts the policy thread. No-op if already running.
-  void Start();
-
-  /// Stops the policy thread. No-op if not running. Safe to call before
-  /// engine shutdown (pending scale requests already posted keep draining).
-  void Stop();
-
-  /// Takes one sample, runs the policy, applies the decision, and returns
-  /// it. This is what the background thread runs per tick; tests (and sim
-  /// drivers) can call it directly with a logical timestamp.
-  AutoscalePolicy::Decision TickNow(uint64_t t_us);
+  /// Runs the policy on one sample and applies the decision. The sampler
+  /// calls it per tick; scale requests already posted keep draining when
+  /// the loop stops.
+  void OnSample(const TelemetrySample& sample) override;
 
   /// Every non-hold decision taken so far, in order.
   std::vector<Action> log() const;
@@ -200,32 +142,14 @@ class AutoscaleController {
   uint64_t shrinks() const;
 
  private:
-  void Loop();
-  AutoscaleSample BuildSample(uint64_t t_us);
-
   Operator& op_;
-  const MetricsRegistry* registry_;
-  std::unordered_set<int> joiner_tasks_;
+  LoadTracker load_;
   AutoscalePolicy policy_;
-  const Options options_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-
-  // Deltas between ticks (policy-thread state).
-  uint64_t last_t_us_ = 0;
-  uint64_t last_in_tuples_ = 0;
-  uint64_t last_stall_ns_ = 0;
-  bool have_last_ = false;
 
   mutable std::mutex mu_;  // guards log_ / counters
   std::vector<Action> log_;
   uint64_t grows_ = 0;
   uint64_t shrinks_ = 0;
-
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace ajoin

@@ -316,7 +316,8 @@ void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
 void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
   if (!msg.store) {
     // Cross-group probe. Grouped operators run with barrier migrations, so
-    // probes never overlap an active migration (DESIGN.md section 5).
+    // probes never overlap an active migration (ARCHITECTURE.md, "Batching
+    // × the migration protocol").
     AJOIN_CHECK_MSG(!migrating_, "probe during migration (barrier violated)");
     if (AdmitProbe()) {
       emit_weight_ = shed_weight_;
@@ -639,9 +640,13 @@ bool JoinerCore::AdmitProbe() {
 void JoinerCore::HandleShed(Envelope& msg, Context& ctx) {
   // Admission-rate change. Every reshuffler forwards the controller's kShed
   // to every allocated joiner so the new rate serializes behind each data
-  // edge, which means the same rate arrives num_reshufflers times — act
-  // (and trace) only on an actual change. Clamped to [1, kShedExactPpm]:
-  // probability zero would make the Horvitz-Thompson weight infinite.
+  // edge, which means each version arrives num_reshufflers times, and a
+  // copy of an older version can arrive on one edge after a newer one on
+  // another. Act (and trace) only on a version newer than the last applied
+  // that changes the rate. Clamped to [1, kShedExactPpm]: probability zero
+  // would make the Horvitz-Thompson weight infinite.
+  if (msg.seq <= shed_version_) return;
+  shed_version_ = msg.seq;
   const uint32_t rate = static_cast<uint32_t>(
       std::min<int64_t>(std::max<int64_t>(msg.key, 1), kShedExactPpm));
   if (rate == shed_rate_ppm_) return;

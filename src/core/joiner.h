@@ -4,7 +4,8 @@
 //
 // Tuple sets are realized as entry metadata rather than separate containers:
 // every stored entry carries (tag, epoch, origin); probe scopes during a
-// migration from epoch E to E+1 become metadata filters (DESIGN.md section 5):
+// migration from epoch E to E+1 become metadata filters (ARCHITECTURE.md,
+// "Batching × the migration protocol"):
 //   tau ∪ Δ           = { origin == DATA, epoch <= E }
 //   Keep(tau∪Δ) ∪ µ ∪ Δ' = { entry's partition under the target mapping
 //                            matches this machine's new coordinates }
@@ -217,6 +218,7 @@ class JoinerCore : public Task {
   // state movement is untouched. Emitted results carry Horvitz-Thompson
   // weight 1/p (= shed_weight_) so weighted aggregates stay unbiased.
   uint32_t shed_rate_ppm_ = static_cast<uint32_t>(kShedExactPpm);
+  uint64_t shed_version_ = 0;  // newest kShed version applied (Envelope seq)
   double shed_weight_ = 1.0;  // 1 / admission probability
   double emit_weight_ = 1.0;  // weight StageResult stamps on staged results
   Rng shed_rng_;              // deterministic per-slot admission sampler

@@ -193,9 +193,13 @@ bool JoinOperator::SetShedRate(uint32_t rate_ppm) {
   if (scale_port_ == nullptr) {
     scale_port_ = engine_.OpenIngress(reshuffler_ids_[0]);
   }
+  // Every reshuffler forwards its copy to every joiner, so copies of
+  // successive changes can reach a joiner out of order across edges; the
+  // version lets the joiner drop the stale ones.
   Envelope env;
   env.type = MsgType::kShed;
   env.key = static_cast<int64_t>(rate_ppm);
+  env.seq = ++shed_version_;
   return scale_port_->Post(reshuffler_ids_[0], std::move(env));
 }
 

@@ -346,6 +346,7 @@ class JoinOperator : public Operator {
   // policy thread. scale_mu_ serializes concurrent scale callers.
   std::mutex scale_mu_;
   std::unique_ptr<IngressPort> scale_port_;  // guarded by scale_mu_
+  uint64_t shed_version_ = 0;  // last kShed version posted; by scale_mu_
 };
 
 /// Content-sensitive parallel symmetric hash join (the Shj baseline of

@@ -51,7 +51,8 @@ class GridLayout {
 
   /// Layout after migrating to `to` (same machine count; n, m powers of two).
   /// One halving step relabels (i,j) -> (i>>1, (j<<1)|(i&1)); k steps compose
-  /// (see DESIGN.md section 5). The relabeling maximizes locality: S state
+  /// (see ARCHITECTURE.md, "Batching × the migration protocol"). The
+  /// relabeling maximizes locality: S state
   /// never moves on a row-merge, R state never moves on a column-merge.
   GridLayout Relabel(Mapping to) const;
 

@@ -11,24 +11,22 @@
 //
 //  * ShedPolicy — a pure, deterministic state machine: feed it one
 //    ShedSample per tick, get back the admission rate (ppm) the operator
-//    should run at. Hysteresis (consecutive-tick streaks), cooldown after a
-//    rate change, and multiplicative backoff/recovery all live here.
-//  * ShedController — a sampler-style thread that builds samples from
-//    MetricsRegistry snapshots plus optional exchange-plane and ingress-
-//    backlog sources, runs the policy, and calls Operator::SetShedRate on
-//    every rate change. It keeps a decision log for tests and telemetry.
+//    should run at. Its triggers run through the shared Hysteresis
+//    primitive (src/core/control.h); multiplicative backoff/recovery and
+//    the rate floor live here.
+//  * ShedController — an observer of the TelemetrySampler loop: each
+//    sample becomes a ShedSample (LoadTracker), the policy runs, and every
+//    rate change becomes an Operator::SetShedRate call. It keeps a decision
+//    log for tests and telemetry.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <condition_variable>
-#include <functional>
 #include <mutex>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
-#include "src/exchange/exchange.h"
+#include "src/core/control.h"
 #include "src/net/message.h"
 #include "src/runtime/metrics_registry.h"
 
@@ -62,43 +60,30 @@ struct ShedConfig {
   uint32_t shed_factor = 2;
 };
 
-/// One observation of the operator, as the policy sees it.
-struct ShedSample {
-  uint64_t t_us = 0;
-  /// Fraction of the tick the exchange plane spent credit-stalled.
-  double stall_ratio = 0;
-  /// Instantaneous ingress backlog gauge (envelopes posted, not consumed).
-  uint64_t backlog = 0;
-  /// Input tuples/sec over the tick (joiner in_tuples delta).
-  double input_rate = 0;
-  /// Joiners currently inside the live grid (telemetry `active` flag).
-  uint32_t live_joiners = 0;
-};
+/// One observation of the operator, as the policy sees it (the policy reads
+/// stall_ratio and backlog).
+using ShedSample = LoadSample;
 
 /// Deterministic admission-rate state machine (no engine, no clock, no
 /// threads — drive it with synthetic samples in unit tests).
 class ShedPolicy {
  public:
-  explicit ShedPolicy(ShedConfig config) : config_(config) {
+  explicit ShedPolicy(ShedConfig config)
+      : config_(config),
+        hysteresis_(config.overload_ticks, config.recover_ticks,
+                    config.cooldown_ticks) {
     if (config_.shed_factor < 2) config_.shed_factor = 2;
     if (config_.min_rate_ppm == 0) config_.min_rate_ppm = 1;
   }
 
   /// Consumes one tick and returns the admission rate (ppm) the operator
-  /// should run at after it — kShedExactPpm when exact. Semantics, in
-  /// order: a cooldown tick decrements the cooldown, resets both streaks,
-  /// and holds; an overloaded tick (stall or backlog trigger) extends the
-  /// overload streak and divides the rate by shed_factor (down to
-  /// min_rate_ppm) once it reaches overload_ticks; a recovered tick (below
-  /// both exit thresholds while shedding) symmetrically multiplies the rate
-  /// back after recover_ticks; a neutral tick resets both streaks. Every
-  /// rate change arms the cooldown.
+  /// should run at after it — kShedExactPpm when exact. An overloaded tick
+  /// (stall or backlog trigger) is a Hysteresis enter tick: after
+  /// overload_ticks of them the rate is divided by shed_factor (down to
+  /// min_rate_ppm). A recovered tick (below both exit thresholds while
+  /// shedding) is an exit tick: after recover_ticks the rate is multiplied
+  /// back. Anything else is neutral. Every rate change arms the cooldown.
   uint32_t OnSample(const ShedSample& s) {
-    if (cooldown_ > 0) {
-      --cooldown_;
-      overload_streak_ = recover_streak_ = 0;
-      return rate_ppm_;
-    }
     const bool stalled = config_.enter_stall_ratio > 0 &&
                          s.stall_ratio >= config_.enter_stall_ratio;
     const bool backlogged =
@@ -106,31 +91,21 @@ class ShedPolicy {
     const bool calm =
         s.stall_ratio <= config_.exit_stall_ratio &&
         (config_.enter_backlog == 0 || s.backlog <= config_.exit_backlog);
-    if (stalled || backlogged) {
-      recover_streak_ = 0;
-      if (++overload_streak_ >= config_.overload_ticks &&
-          rate_ppm_ > config_.min_rate_ppm) {
-        overload_streak_ = 0;
-        cooldown_ = config_.cooldown_ticks;
-        const uint32_t next = rate_ppm_ / config_.shed_factor;
-        rate_ppm_ = next < config_.min_rate_ppm ? config_.min_rate_ppm : next;
-      }
-      return rate_ppm_;
+    using Signal = Hysteresis::Signal;
+    const Signal signal = stalled || backlogged ? Signal::kEnter
+                          : calm && shedding()  ? Signal::kExit
+                                                : Signal::kNeutral;
+    const bool allowed =
+        signal != Signal::kEnter || rate_ppm_ > config_.min_rate_ppm;
+    if (!hysteresis_.Step(signal, allowed)) return rate_ppm_;
+    if (signal == Signal::kEnter) {
+      rate_ppm_ = std::max(rate_ppm_ / config_.shed_factor,
+                           config_.min_rate_ppm);
+    } else {
+      rate_ppm_ = static_cast<uint32_t>(std::min<uint64_t>(
+          static_cast<uint64_t>(rate_ppm_) * config_.shed_factor,
+          static_cast<uint64_t>(kShedExactPpm)));
     }
-    if (calm && shedding()) {
-      overload_streak_ = 0;
-      if (++recover_streak_ >= config_.recover_ticks) {
-        recover_streak_ = 0;
-        cooldown_ = config_.cooldown_ticks;
-        const uint64_t next =
-            static_cast<uint64_t>(rate_ppm_) * config_.shed_factor;
-        rate_ppm_ = next >= static_cast<uint64_t>(kShedExactPpm)
-                        ? static_cast<uint32_t>(kShedExactPpm)
-                        : static_cast<uint32_t>(next);
-      }
-      return rate_ppm_;
-    }
-    overload_streak_ = recover_streak_ = 0;
     return rate_ppm_;
   }
 
@@ -141,25 +116,19 @@ class ShedPolicy {
     return rate_ppm_ < static_cast<uint32_t>(kShedExactPpm);
   }
   /// Remaining cooldown ticks (testing).
-  uint32_t cooldown() const { return cooldown_; }
+  uint32_t cooldown() const { return hysteresis_.cooldown(); }
 
  private:
   ShedConfig config_;
+  Hysteresis hysteresis_;
   uint32_t rate_ppm_ = static_cast<uint32_t>(kShedExactPpm);
-  uint32_t overload_streak_ = 0;
-  uint32_t recover_streak_ = 0;
-  uint32_t cooldown_ = 0;
 };
 
-/// Background controller: samples the telemetry plane at a fixed period,
-/// runs ShedPolicy, and drives Operator::SetShedRate on every rate change.
-class ShedController {
+/// Per-operator shed controller: an observer of the TelemetrySampler loop
+/// that runs ShedPolicy on every sample and drives Operator::SetShedRate on
+/// every rate change.
+class ShedController : public SampleObserver {
  public:
-  struct Options {
-    /// Policy tick period for the Start()ed thread.
-    uint64_t period_us = 2000;
-  };
-
   /// One applied rate change for the log.
   struct Action {
     uint64_t t_us = 0;
@@ -169,44 +138,21 @@ class ShedController {
     bool accepted = false;  // operator took the request
   };
 
-  /// Watches `registry` cells whose task ids are in `joiner_tasks` (the
-  /// operator's joiner_task_ids()) and sheds `op`. Neither is owned; both
-  /// must outlive the controller. Call Start() after the engine starts.
-  ShedController(Operator& op, const MetricsRegistry* registry,
-                 std::vector<int> joiner_tasks, ShedConfig config,
-                 Options options);
-  /// Same, with default Options (2 ms tick).
-  ShedController(Operator& op, const MetricsRegistry* registry,
-                 std::vector<int> joiner_tasks, ShedConfig config);
-  ~ShedController();
+  /// Sheds `op` (not owned; must outlive the controller) on the load of
+  /// its joiner cells `joiner_tasks` (the operator's joiner_task_ids()).
+  /// Attach it to the sampler whose registry those cells publish into.
+  ShedController(Operator& op, const std::vector<int>& joiner_tasks,
+                 ShedConfig config);
 
   ShedController(const ShedController&) = delete;
   ShedController& operator=(const ShedController&) = delete;
 
-  /// Adds plane-wide exchange stats to every sample so the stall-ratio
-  /// trigger works (e.g. bind ThreadEngine::exchange_stats). Set before
-  /// Start().
-  void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
+  /// Runs the policy on one sample and applies any rate change. The
+  /// sampler calls it per tick; the last posted rate stays in effect when
+  /// the loop stops (post SetShedRate(kShedExactPpm) to restore exactness).
+  void OnSample(const TelemetrySample& sample) override;
 
-  /// Adds an instantaneous ingress-backlog gauge to every sample so the
-  /// backlog trigger works (e.g. bind the driver's IngressPort::stats
-  /// backlog, or pushed-minus-consumed accounting). Set before Start().
-  void SetBacklogSource(std::function<uint64_t()> source);
-
-  /// Starts the policy thread. No-op if already running.
-  void Start();
-
-  /// Stops the policy thread. No-op if not running. The last posted rate
-  /// stays in effect; post SetShedRate(kShedExactPpm) to restore exactness.
-  void Stop();
-
-  /// Takes one sample, runs the policy, applies any rate change, and
-  /// returns the policy's current rate. This is what the background thread
-  /// runs per tick; tests (and sim drivers) can call it directly with a
-  /// logical timestamp.
-  uint32_t TickNow(uint64_t t_us);
-
-  /// The rate the policy currently holds (ppm).
+  /// The rate the operator last accepted (ppm).
   uint32_t rate_ppm() const;
   /// Every applied rate change so far, in order.
   std::vector<Action> log() const;
@@ -214,33 +160,14 @@ class ShedController {
   uint64_t rate_changes() const;
 
  private:
-  void Loop();
-  ShedSample BuildSample(uint64_t t_us);
-
   Operator& op_;
-  const MetricsRegistry* registry_;
-  std::unordered_set<int> joiner_tasks_;
+  LoadTracker load_;
   ShedPolicy policy_;
-  const Options options_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-  std::function<uint64_t()> backlog_source_;
-
-  // Deltas between ticks (policy-thread state).
-  uint64_t last_t_us_ = 0;
-  uint64_t last_in_tuples_ = 0;
-  uint64_t last_stall_ns_ = 0;
-  bool have_last_ = false;
 
   mutable std::mutex mu_;  // guards log_ / counters / published rate
   std::vector<Action> log_;
   uint64_t rate_changes_ = 0;
   uint32_t published_rate_ppm_ = static_cast<uint32_t>(kShedExactPpm);
-
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace ajoin

@@ -5,7 +5,7 @@
 // parameter z in {0, 0.25, 0.5, 0.75, 1.0} (settings Z0..Z4). This module
 // generates the relations (Region, Nation, Supplier, Orders, Lineitem) with
 // the columns the paper's queries touch. Dataset size is expressed in "GB"
-// with a configurable rows_per_gb scale (see DESIGN.md section 2).
+// with a configurable rows_per_gb scale (see ARCHITECTURE.md, "Benchmarks").
 
 #pragma once
 

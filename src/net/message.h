@@ -45,7 +45,9 @@ enum class MsgType : uint8_t {
                   // ingress edge.
   kShed,          // operator/shed controller -> reshufflers -> joiners:
                   // admission-rate change; key = admitted probe fraction in
-                  // parts-per-million (kShedExactPpm = shedding off).
+                  // parts-per-million (kShedExactPpm = shedding off), seq =
+                  // version (increases per change; every copy keeps it, and
+                  // a joiner applies only versions newer than its last).
                   // Control: cuts batches and serializes behind routed data
                   // on every edge it travels, so a rate change can never
                   // overtake the tuples admitted under the previous rate.

@@ -131,32 +131,36 @@ const ResultSink& Dataflow::sink(int handle) const {
   return *stage.sink;
 }
 
-AutoscaleController& Dataflow::SetAutoscale(
-    int handle, AutoscaleConfig config, AutoscaleController::Options options) {
+TelemetrySampler& Dataflow::sampler() {
+  if (sampler_ == nullptr) {
+    AJOIN_CHECK_MSG(registry_ != nullptr,
+                    "sampler(): no telemetry registry (call SetTelemetry)");
+    sampler_ = std::make_unique<TelemetrySampler>(registry_, loop_options_);
+    sampler_->SetTraceSource(trace_);
+  }
+  return *sampler_;
+}
+
+Dataflow::Stage& Dataflow::ControlledStage(int handle, const char* what) {
   AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "SetAutoscale: unknown stage");
+                  what);
   Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "SetAutoscale: not a join stage");
-  AJOIN_CHECK_MSG(stage.registry != nullptr,
-                  "SetAutoscale: stage has no telemetry registry (call "
-                  "SetTelemetry before AddJoin)");
+  AJOIN_CHECK_MSG(stage.op != nullptr, "controller: not a join stage");
+  AJOIN_CHECK_MSG(stage.registry != nullptr && stage.registry == registry_,
+                  "controller: stage does not publish into the dataflow's "
+                  "registry (call SetTelemetry before AddJoin)");
+  return stage;
+}
+
+AutoscaleController& Dataflow::AttachAutoscale(int handle,
+                                               AutoscaleConfig config) {
+  Stage& stage = ControlledStage(handle, "AttachAutoscale: unknown stage");
   AJOIN_CHECK_MSG(stage.autoscale == nullptr,
-                  "SetAutoscale: stage already has a controller");
+                  "AttachAutoscale: stage already has a controller");
   stage.autoscale = std::make_unique<AutoscaleController>(
-      *stage.op, stage.registry, stage.op->joiner_task_ids(), config, options);
+      *stage.op, stage.op->joiner_task_ids(), config);
+  sampler().Attach(stage.autoscale.get());
   return *stage.autoscale;
-}
-
-void Dataflow::StartAutoscale() {
-  for (Stage& stage : stages_) {
-    if (stage.autoscale != nullptr) stage.autoscale->Start();
-  }
-}
-
-void Dataflow::StopAutoscale() {
-  for (Stage& stage : stages_) {
-    if (stage.autoscale != nullptr) stage.autoscale->Stop();
-  }
 }
 
 AutoscaleController& Dataflow::autoscale(int handle) {
@@ -168,32 +172,14 @@ AutoscaleController& Dataflow::autoscale(int handle) {
   return *stage.autoscale;
 }
 
-ShedController& Dataflow::SetShedding(int handle, ShedConfig config,
-                                      ShedController::Options options) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "SetShedding: unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "SetShedding: not a join stage");
-  AJOIN_CHECK_MSG(stage.registry != nullptr,
-                  "SetShedding: stage has no telemetry registry (call "
-                  "SetTelemetry before AddJoin)");
+ShedController& Dataflow::AttachShedding(int handle, ShedConfig config) {
+  Stage& stage = ControlledStage(handle, "AttachShedding: unknown stage");
   AJOIN_CHECK_MSG(stage.shed == nullptr,
-                  "SetShedding: stage already has a shed controller");
+                  "AttachShedding: stage already has a shed controller");
   stage.shed = std::make_unique<ShedController>(
-      *stage.op, stage.registry, stage.op->joiner_task_ids(), config, options);
+      *stage.op, stage.op->joiner_task_ids(), config);
+  sampler().Attach(stage.shed.get());
   return *stage.shed;
-}
-
-void Dataflow::StartShedding() {
-  for (Stage& stage : stages_) {
-    if (stage.shed != nullptr) stage.shed->Start();
-  }
-}
-
-void Dataflow::StopShedding() {
-  for (Stage& stage : stages_) {
-    if (stage.shed != nullptr) stage.shed->Stop();
-  }
 }
 
 ShedController& Dataflow::shedding(int handle) {

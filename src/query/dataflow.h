@@ -31,6 +31,7 @@
 #include "src/core/operator.h"
 #include "src/core/shed.h"
 #include "src/core/weighted.h"
+#include "src/runtime/metrics_registry.h"
 #include "src/runtime/task.h"
 
 namespace ajoin {
@@ -114,11 +115,13 @@ class Dataflow {
   /// Telemetry for the whole dataflow: every join stage added *after* this
   /// call registers its tasks with `registry` and traces protocol events
   /// into `trace` (either may be null; a config that already carries its
-  /// own pointers wins). Call before AddJoin; both must outlive the
-  /// engine's run.
-  void SetTelemetry(MetricsRegistry* registry, TraceRing* trace) {
+  /// own pointers wins). `loop` configures the dataflow's sampler loop
+  /// (sampler()). Call before AddJoin; both must outlive the engine's run.
+  void SetTelemetry(MetricsRegistry* registry, TraceRing* trace,
+                    TelemetrySampler::Options loop = {}) {
     registry_ = registry;
     trace_ = trace;
+    loop_options_ = loop;
   }
 
   /// Adds an adaptive join stage (a full JoinOperator assembly on the
@@ -163,44 +166,32 @@ class Dataflow {
   /// quiescent).
   const ResultSink& sink(int handle) const;
 
-  /// Attaches an elastic-scaling controller to join stage `handle` (see
-  /// src/core/autoscale.h): it watches the stage's joiners through the
-  /// telemetry registry (SetTelemetry first, or a config-supplied registry)
-  /// and grows/shrinks the live grid at runtime. Call after AddJoin and
-  /// before StartAutoscale; returns the controller so callers can bind an
-  /// exchange-stats source for the stall trigger.
-  AutoscaleController& SetAutoscale(
-      int handle, AutoscaleConfig config,
-      AutoscaleController::Options options = {});
+  /// The dataflow's one sampler loop over its telemetry registry (created
+  /// on first use; needs SetTelemetry with a registry), with the trace ring
+  /// attached. Every controller attached below runs on it. Bind the engine's
+  /// edge / exchange / backlog sources, Start() it after Engine::Start(),
+  /// and Stop() it before SendEos so no scale or shed request trails
+  /// end-of-stream.
+  TelemetrySampler& sampler();
 
-  /// Starts every attached autoscale controller's policy thread. Call after
-  /// Engine::Start().
-  void StartAutoscale();
+  /// Attaches an elastic-scaling controller for join stage `handle` (see
+  /// src/core/autoscale.h) to sampler(): it watches the stage's joiners and
+  /// grows/shrinks the live grid at runtime. The stage must register with
+  /// the dataflow's registry. Call after AddJoin and before sampling
+  /// starts.
+  AutoscaleController& AttachAutoscale(int handle, AutoscaleConfig config);
 
-  /// Stops every attached autoscale controller. Call before tearing down
-  /// the engine; idempotent.
-  void StopAutoscale();
-
-  /// The controller attached to stage `handle` (must exist).
+  /// The autoscale controller of stage `handle` (must exist).
   AutoscaleController& autoscale(int handle);
 
-  /// Attaches an overload-shedding controller to join stage `handle` (see
-  /// src/core/shed.h): it watches the stage's joiners through the telemetry
-  /// registry and adapts the probe-admission rate at runtime. Call after
-  /// AddJoin and before StartShedding; returns the controller so callers
-  /// can bind exchange-stats / ingress-backlog sources for the triggers.
-  ShedController& SetShedding(int handle, ShedConfig config,
-                              ShedController::Options options = {});
+  /// Attaches an overload-shedding controller for join stage `handle` (see
+  /// src/core/shed.h) to sampler(): it watches the stage's joiners and
+  /// adapts the probe-admission rate at runtime. Same requirements as
+  /// AttachAutoscale. The last posted rate stays in effect when the loop
+  /// stops.
+  ShedController& AttachShedding(int handle, ShedConfig config);
 
-  /// Starts every attached shed controller's policy thread. Call after
-  /// Engine::Start().
-  void StartShedding();
-
-  /// Stops every attached shed controller. Call before tearing down the
-  /// engine; idempotent. The last posted rate stays in effect.
-  void StopShedding();
-
-  /// The shed controller attached to stage `handle` (must exist).
+  /// The shed controller of stage `handle` (must exist).
   ShedController& shedding(int handle);
 
   /// Flushes staged input on every join stage (call before WaitQuiescent).
@@ -226,10 +217,18 @@ class Dataflow {
     bool connected_in = false;  // join stages: at most one result edge in
   };
 
+  // Checks that `handle` is a join stage on the dataflow's registry that
+  // can take a controller; `what` names the caller in failure messages.
+  Stage& ControlledStage(int handle, const char* what);
+
   Engine& engine_;
   MetricsRegistry* registry_ = nullptr;  // stamped into AddJoin configs
   TraceRing* trace_ = nullptr;
+  TelemetrySampler::Options loop_options_;
   std::vector<Stage> stages_;
+  // Declared after stages_ so it is destroyed first: its thread (if still
+  // running) stops before the controllers it drives go away.
+  std::unique_ptr<TelemetrySampler> sampler_;
 };
 
 }  // namespace ajoin

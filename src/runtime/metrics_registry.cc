@@ -27,8 +27,16 @@ void TelemetrySampler::SetExchangeSource(
   exchange_source_ = std::move(source);
 }
 
+void TelemetrySampler::SetBacklogSource(std::function<uint64_t()> source) {
+  backlog_source_ = std::move(source);
+}
+
 void TelemetrySampler::SetTraceSource(const TraceRing* trace) {
   trace_ = trace;
+}
+
+void TelemetrySampler::Attach(SampleObserver* observer) {
+  observers_.push_back(observer);
 }
 
 TelemetrySample TelemetrySampler::SampleNow(uint64_t t_us) {
@@ -37,12 +45,14 @@ TelemetrySample TelemetrySampler::SampleNow(uint64_t t_us) {
   sample.tasks = registry_->Snapshot();
   if (edge_source_) sample.edges = edge_source_();
   if (exchange_source_) sample.exchange = exchange_source_();
+  if (backlog_source_) sample.backlog = backlog_source_();
   {
     std::lock_guard<std::mutex> lock(mu_);
     series_.push_back(sample);
     taken_++;
     while (series_.size() > options_.capacity) series_.pop_front();
   }
+  for (SampleObserver* observer : observers_) observer->OnSample(sample);
   return sample;
 }
 

@@ -9,12 +9,15 @@
 //  * MetricsRegistry — the directory of every task's cell. Operators
 //    register their tasks at construction; snapshotting walks the directory
 //    and reads each cell.
-//  * TelemetrySampler — samples the registry (plus optional exchange-plane
-//    edge stats and a trace ring) at a fixed period into a ring-buffered
-//    time series, on its own thread under the threaded engine or via
-//    explicit SampleNow calls from the sim driver's drain intervals.
-//    Exports one-line human summaries and stable-schema JSON
-//    (schema_version 1, validated by tools/validate_telemetry.py).
+//  * TelemetrySampler — the one sampling loop: at a fixed period it takes
+//    one TelemetrySample (the registry plus optional exchange-plane edge
+//    stats, plane-wide stats and ingress backlog gauge) into a
+//    ring-buffered time series and hands it to every attached
+//    SampleObserver (the shed and autoscale controllers). It runs on its
+//    own thread under the threaded engine, or via explicit SampleNow calls
+//    from the sim driver's drain intervals. Exports one-line human
+//    summaries and stable-schema JSON (schema_version 1, validated by
+//    tools/validate_telemetry.py).
 //
 // Seqlock protocol (TSan-clean): the payload is an array of atomic words so
 // the sanitizer sees every access; the relaxed/fence dance below gives the
@@ -352,12 +355,23 @@ class MetricsRegistry {
   std::deque<Slot> slots_;        // deque: stable cell addresses on growth
 };
 
-/// One sampler observation: registry snapshot + optional exchange rollups.
+/// One sampler observation: registry snapshot + optional exchange rollups
+/// and ingress backlog gauge.
 struct TelemetrySample {
   uint64_t t_us = 0;
   std::vector<TaskSnapshot> tasks;
   std::vector<EdgeStatsSnapshot> edges;  // empty when no edge source is set
   ExchangeStatsSnapshot exchange;        // zeroed without an exchange source
+  uint64_t backlog = 0;                  // 0 without a backlog source
+};
+
+/// A controller driven by the sampler loop (src/core/shed.h,
+/// src/core/autoscale.h).
+class SampleObserver {
+ public:
+  virtual ~SampleObserver() = default;
+  /// Called with every sample, in series order, on the sampling thread.
+  virtual void OnSample(const TelemetrySample& sample) = 0;
 };
 
 /// Periodic sampler with ring-buffered time series and structured export.
@@ -387,13 +401,23 @@ class TelemetrySampler {
   /// ThreadEngine::exchange_stats). Set before sampling starts.
   void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
 
+  /// Adds an instantaneous ingress-backlog gauge to every sample (e.g. a
+  /// driver queue depth) for the shed controller's backlog trigger. Set
+  /// before sampling starts.
+  void SetBacklogSource(std::function<uint64_t()> source);
+
   /// Attaches a trace ring whose events WriteJson dumps alongside the time
   /// series. Set before sampling starts; not owned.
   void SetTraceSource(const TraceRing* trace);
 
-  /// Takes one sample stamped `t_us`, appends it to the series, and returns
-  /// it. This is the sim-engine path (the driver calls it at drain
-  /// intervals with logical time) and also what the background thread runs.
+  /// Hands every later sample to `observer`. Attach before sampling
+  /// starts; not owned, must outlive the sampling.
+  void Attach(SampleObserver* observer);
+
+  /// Takes one sample stamped `t_us`, appends it to the series, hands it to
+  /// every attached observer, and returns it. This is the sim-engine path
+  /// (the driver calls it at drain intervals with logical time) and also
+  /// what the background thread runs.
   TelemetrySample SampleNow(uint64_t t_us);
 
   /// Starts the background sampling thread (threaded engine). No-op if
@@ -401,7 +425,8 @@ class TelemetrySampler {
   void Start();
 
   /// Stops the background thread after one final sample, so the series
-  /// always ends with a fresh observation. No-op if not running.
+  /// always ends with a fresh observation (which the observers see too).
+  /// No-op if not running.
   void Stop();
 
   /// Copy of the ring-buffered series, oldest first.
@@ -425,7 +450,9 @@ class TelemetrySampler {
   const Options options_;
   std::function<std::vector<EdgeStatsSnapshot>()> edge_source_;
   std::function<ExchangeStatsSnapshot()> exchange_source_;
+  std::function<uint64_t()> backlog_source_;
   const TraceRing* trace_ = nullptr;
+  std::vector<SampleObserver*> observers_;
 
   mutable std::mutex mu_;              // guards series_ and taken_
   std::deque<TelemetrySample> series_;

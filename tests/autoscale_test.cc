@@ -5,10 +5,11 @@
 //    synthetic telemetry traces (surge, flap, sustained overload) and pin
 //    down the exact decision sequences — hysteresis, cooldown, bounds, and
 //    the hard hold while a migration is in flight.
-//  * AutoscaleController unit tests run the sampling loop against a
-//    synthetic MetricsRegistry and a fake operator — no engine — checking
-//    live-joiner counting via the `active` tombstone flag, input-rate
-//    deltas, and that decisions land as Grow/ShrinkJoiners calls.
+//  * AutoscaleController unit tests tick a TelemetrySampler by hand over a
+//    synthetic MetricsRegistry with the controller attached and a fake
+//    operator — no engine, no thread — checking live-joiner counting via
+//    the `active` tombstone flag, input-rate deltas, and that decisions
+//    land as Grow/ShrinkJoiners calls.
 //  * The differential suite runs randomized seeded streams through scaling
 //    schedules (grow/shrink interleaved with live ILF migrations,
 //    back-to-back grow→shrink, multi-step jumps) on the deterministic sim
@@ -22,8 +23,8 @@
 //    counters with active=0; scale events reach the trace ring and the
 //    JSON export).
 //  * The end-to-end loop test closes the circle: a live AutoscaleController
-//    on a Dataflow watches real telemetry and scales a running join, and
-//    the output is still exact.
+//    on a Dataflow's sampler loop watches real telemetry and scales a
+//    running join, and the output is still exact.
 
 #include <gtest/gtest.h>
 
@@ -283,16 +284,21 @@ TEST(AutoscaleController, SamplesRegistryAndScalesOperator) {
   cfg.shrink_rate_per_joiner = 0;
   cfg.surge_ticks = 1;
   cfg.cooldown_ticks = 0;
-  AutoscaleController ctl(op, &registry, ids, cfg);
+  AutoscaleController ctl(op, ids, cfg);
+  TelemetrySampler sampler(&registry);
+  sampler.Attach(&ctl);
 
   // First tick is the delta baseline: no rate yet, no action.
-  EXPECT_EQ(ctl.TickNow(0), Decision::kHold);
+  sampler.SampleNow(0);
+  EXPECT_TRUE(ctl.log().empty());
   EXPECT_EQ(op.grow_calls, 0u);
 
   // 100 tuples in one second on a live cell: 100/s > 40/s -> grow.
   m.in_tuples = 100;
   cells[0]->PublishJoiner(m, 0, false, true);
-  EXPECT_EQ(ctl.TickNow(1000000), Decision::kGrow);
+  sampler.SampleNow(1000000);
+  ASSERT_EQ(ctl.log().size(), 1u);
+  EXPECT_EQ(ctl.log()[0].decision, Decision::kGrow);
   EXPECT_EQ(op.grow_calls, 1u);
   EXPECT_EQ(ctl.grows(), 1u);
   ASSERT_EQ(ctl.log().size(), 1u);
@@ -303,13 +309,16 @@ TEST(AutoscaleController, SamplesRegistryAndScalesOperator) {
   // A migrating joiner freezes the policy regardless of the rate.
   m.in_tuples = 300;
   cells[0]->PublishJoiner(m, 1, /*migrating=*/true, true);
-  EXPECT_EQ(ctl.TickNow(2000000), Decision::kHold);
+  sampler.SampleNow(2000000);
+  EXPECT_EQ(ctl.log().size(), 1u);
   EXPECT_EQ(op.grow_calls, 1u);
 
   // Migration over, surge still on: the controller acts again.
   m.in_tuples = 500;
   cells[0]->PublishJoiner(m, 1, false, true);
-  EXPECT_EQ(ctl.TickNow(3000000), Decision::kGrow);
+  sampler.SampleNow(3000000);
+  ASSERT_EQ(ctl.log().size(), 2u);
+  EXPECT_EQ(ctl.log()[1].decision, Decision::kGrow);
   EXPECT_EQ(op.grow_calls, 2u);
 }
 
@@ -336,12 +345,16 @@ TEST(AutoscaleController, TombstonedCellsDoNotCountAsLive) {
   cfg.grow_rate_per_joiner = 1e-3;  // any nonzero rate surges
   cfg.surge_ticks = 1;
   cfg.cooldown_ticks = 0;
-  AutoscaleController ctl(op, &registry, ids, cfg);
-  EXPECT_EQ(ctl.TickNow(0), Decision::kHold);
+  AutoscaleController ctl(op, ids, cfg);
+  TelemetrySampler sampler(&registry);
+  sampler.Attach(&ctl);
+  sampler.SampleNow(0);
+  EXPECT_TRUE(ctl.log().empty());
   live.in_tuples = 50;
   cells[0]->PublishJoiner(live, 0, false, true);
-  EXPECT_EQ(ctl.TickNow(1000000), Decision::kGrow);
+  sampler.SampleNow(1000000);
   ASSERT_EQ(ctl.log().size(), 1u);
+  EXPECT_EQ(ctl.log()[0].decision, Decision::kGrow);
   EXPECT_EQ(ctl.log()[0].sample.live_joiners, 4u);
   EXPECT_EQ(ctl.log()[0].sample.per_joiner_stored, 5u);
 }
@@ -851,7 +864,9 @@ TEST(AutoscaleLoop, ControllerScalesLiveDataflowAndOutputStaysExact) {
   ThreadEngine engine{ExchangeConfig{}};
   MetricsRegistry registry;
   Dataflow df(engine);
-  df.SetTelemetry(&registry, &trace);
+  TelemetrySampler::Options loop;
+  loop.period_us = 1000;
+  df.SetTelemetry(&registry, &trace, loop);
   OperatorConfig cfg;
   cfg.spec = spec;
   cfg.machines = 4;
@@ -873,13 +888,12 @@ TEST(AutoscaleLoop, ControllerScalesLiveDataflowAndOutputStaysExact) {
   ac.surge_ticks = 1;
   ac.idle_ticks = 2;
   ac.cooldown_ticks = 1;
-  AutoscaleController::Options opts;
-  opts.period_us = 1000;
-  AutoscaleController& ctl = df.SetAutoscale(join, ac, opts);
-  ctl.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  AutoscaleController& ctl = df.AttachAutoscale(join, ac);
+  df.sampler().SetExchangeSource(
+      [&engine] { return engine.exchange_stats(); });
 
   engine.Start();
-  df.StartAutoscale();
+  df.sampler().Start();
 
   // Paced pushes keep the input rate visible across policy ticks; the
   // controller grows 4 -> 16 (then hits max_live). Guaranteed-progress
@@ -896,7 +910,7 @@ TEST(AutoscaleLoop, ControllerScalesLiveDataflowAndOutputStaysExact) {
   // The stream has gone silent: the idle trigger shrinks back down.
   EXPECT_TRUE(PollUntil([&] { return ctl.shrinks() >= 1; }, 15000));
 
-  df.StopAutoscale();
+  df.sampler().Stop();
   df.SendEos();
   engine.WaitQuiescent();
 

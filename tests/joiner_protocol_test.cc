@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/common/trace_ring.h"
 #include "src/core/joiner.h"
 #include "src/core/partition.h"
 
@@ -64,6 +65,14 @@ Envelope Signal(uint32_t epoch, Mapping mapping) {
 Envelope MigEnd() {
   Envelope env;
   env.type = MsgType::kMigEnd;
+  return env;
+}
+
+Envelope Shed(int64_t rate_ppm, uint64_t version) {
+  Envelope env;
+  env.type = MsgType::kShed;
+  env.key = rate_ppm;
+  env.seq = version;
   return env;
 }
 
@@ -232,6 +241,25 @@ TEST(JoinerProtocol, DiscardedDeltaDoesNotJoinDeltaPrime) {
   joiner.OnMessage(Data(Rel::kS, 3, kTagHigh, 2, 0), ctx);  // Δ S, discard col
   EXPECT_EQ(joiner.output_count(), 0u)
       << "discard-bound Δ joined Δ' (would double-count with machine 1)";
+}
+
+TEST(JoinerProtocol, StaleShedVersionIsDropped) {
+  // Every reshuffler forwards each kShed to every joiner, so a copy of an
+  // older rate change can land after a newer one on a slower edge. It must
+  // not revert the newer rate, and duplicates trace nothing.
+  TraceRing trace(64);
+  JoinerConfig cfg = TwoMachineConfig(0);
+  cfg.trace = &trace;
+  JoinerCore joiner(cfg);
+  CaptureContext ctx(0);
+  joiner.OnMessage(Shed(kShedExactPpm / 8, 2), ctx);
+  joiner.OnMessage(Shed(kShedExactPpm / 4, 1), ctx);  // stale copy
+  joiner.OnMessage(Shed(kShedExactPpm / 8, 2), ctx);  // duplicate copy
+  EXPECT_EQ(joiner.shed_rate_ppm(), kShedExactPpm / 8);
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, TraceEventKind::kShedEnter);
+  EXPECT_EQ(events[0].a, static_cast<uint64_t>(kShedExactPpm / 8));
 }
 
 TEST(JoinerProtocol, EosTracking) {

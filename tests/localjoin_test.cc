@@ -81,11 +81,10 @@ TEST(JoinIndex, ScanYieldsAll) {
 
 // Runs a LocalJoiner over an interleaved stream; results must match the
 // reference nested loop exactly (as multisets of (r_extra, s_extra) ids).
-void CheckLocalJoiner(const JoinSpec& spec, size_t memory_budget,
-                      uint64_t seed) {
+void CheckLocalJoiner(const JoinSpec& spec, uint64_t seed) {
   Rng rng(seed);
   std::vector<Row> rs, ss;
-  LocalJoiner joiner(spec, memory_budget);
+  LocalJoiner joiner(spec);
   std::vector<std::pair<int64_t, int64_t>> got;
   for (int i = 0; i < 600; ++i) {
     bool is_r = rng.NextBool(0.4);
@@ -108,10 +107,10 @@ void CheckLocalJoiner(const JoinSpec& spec, size_t memory_budget,
   EXPECT_EQ(joiner.StoredCount(Rel::kS), ss.size());
 }
 
-TEST(LocalJoiner, EquiInMemory) { CheckLocalJoiner(MakeEquiJoin(0, 0), 0, 1); }
+TEST(LocalJoiner, EquiInMemory) { CheckLocalJoiner(MakeEquiJoin(0, 0), 1); }
 
 TEST(LocalJoiner, BandInMemory) {
-  CheckLocalJoiner(MakeBandJoin(0, 0, -2, 2), 0, 2);
+  CheckLocalJoiner(MakeBandJoin(0, 0, -2, 2), 2);
 }
 
 TEST(LocalJoiner, ThetaInMemory) {
@@ -119,34 +118,7 @@ TEST(LocalJoiner, ThetaInMemory) {
       MakeThetaJoin([](const Row& r, const Row& s) {
         return (r.Int64(0) + s.Int64(0)) % 7 == 0;
       }),
-      0, 3);
-}
-
-TEST(LocalJoiner, EquiWithSpill) {
-  // Tiny budget: most state spills; results must be identical.
-  CheckLocalJoiner(MakeEquiJoin(0, 0), 8 * 1024, 4);
-}
-
-TEST(LocalJoiner, BandWithSpill) {
-  CheckLocalJoiner(MakeBandJoin(0, 0, -1, 1), 8 * 1024, 5);
-}
-
-TEST(LocalJoiner, SpillStatsExposed) {
-  // Budget far below the data volume (several 64KB pages per side). Both
-  // relations share the key domain so probes touch spilled pages.
-  // 128KB per side (2 resident pages) against ~600KB of R state, then a
-  // burst of S probes that must fault R pages back in.
-  LocalJoiner joiner(MakeEquiJoin(0, 0), 256 * 1024);
-  Rng rng(31);
-  for (int i = 0; i < 30000; ++i) {
-    joiner.Store(Rel::kR, KeyRow(static_cast<int64_t>(rng.Uniform(10000)), i));
-  }
-  for (int i = 0; i < 500; ++i) {
-    joiner.Insert(Rel::kS, KeyRow(static_cast<int64_t>(rng.Uniform(10000)), i),
-                  [](const Row&, const Row&) {});
-  }
-  EXPECT_GT(joiner.PageFaults(), 0u);
-  EXPECT_GT(joiner.StoredBytes(Rel::kR), 0u);
+      3);
 }
 
 TEST(ReferenceJoin, CrossProductSubset) {

@@ -5,10 +5,11 @@
 //    synthetic samples (sustained stall, backlog surge, flapping load) and
 //    pin down the exact rate sequences — multiplicative backoff, the
 //    min-rate floor, hysteresis, cooldown, and symmetric recovery.
-//  * ShedController unit tests run the sampling loop against a synthetic
-//    MetricsRegistry and a fake operator — no engine — checking trigger
-//    signal assembly (stall-ratio deltas, backlog gauge) and that decisions
-//    land as SetShedRate calls in the action log.
+//  * ShedController unit tests tick a TelemetrySampler by hand over a
+//    synthetic MetricsRegistry with the controller attached and a fake
+//    operator — no engine, no thread — checking trigger signal assembly
+//    (stall-ratio deltas, backlog gauge) and that decisions land as
+//    SetShedRate calls in the action log.
 //  * Propagation tests post a rate through a live JoinOperator and assert
 //    it reaches every joiner (telemetry shed_rate_ppm), emits the right
 //    trace events (shed_enter/shed_exit), and that duplicate kShed copies
@@ -202,21 +203,25 @@ TEST(ShedController, StallSignalDrivesSetShedRate) {
   ShedConfig cfg = PolicyConfig();
   cfg.overload_ticks = 1;
   cfg.cooldown_ticks = 0;
-  ShedController ctl(op, &registry, ids, cfg);
+  ShedController ctl(op, ids, cfg);
+  TelemetrySampler sampler(&registry);
+  sampler.Attach(&ctl);
   // Synthetic exchange source: stall_ns jumps 900ms per 1s tick.
   uint64_t stall_ns = 0;
-  ctl.SetExchangeSource([&stall_ns] {
+  sampler.SetExchangeSource([&stall_ns] {
     ExchangeStatsSnapshot s;
     s.credit_wait_ns = stall_ns;
     return s;
   });
 
   // First tick is the delta baseline: no ratio yet, no action.
-  EXPECT_EQ(ctl.TickNow(0), kExact);
+  sampler.SampleNow(0);
+  EXPECT_EQ(ctl.rate_ppm(), kExact);
   EXPECT_TRUE(op.rates.empty());
 
   stall_ns += 900000000;  // 0.9s stalled over a 1s tick
-  EXPECT_EQ(ctl.TickNow(1000000), kExact / 2);
+  sampler.SampleNow(1000000);
+  EXPECT_EQ(ctl.rate_ppm(), kExact / 2);
   ASSERT_EQ(op.rates.size(), 1u);
   EXPECT_EQ(op.rates[0], kExact / 2);
   EXPECT_EQ(ctl.rate_ppm(), kExact / 2);
@@ -231,7 +236,8 @@ TEST(ShedController, StallSignalDrivesSetShedRate) {
   const size_t changes = ctl.log().size();
   uint32_t rate = ctl.rate_ppm();
   for (int i = 0; i < 20 && rate != kExact; ++i) {
-    rate = ctl.TickNow(2000000 + static_cast<uint64_t>(i) * 1000000);
+    sampler.SampleNow(2000000 + static_cast<uint64_t>(i) * 1000000);
+    rate = ctl.rate_ppm();
   }
   EXPECT_EQ(rate, kExact);
   EXPECT_GT(ctl.log().size(), changes);
@@ -252,17 +258,22 @@ TEST(ShedController, BacklogSourceDrivesTrigger) {
   cfg.exit_backlog = 10;
   cfg.overload_ticks = 1;
   cfg.cooldown_ticks = 0;
-  ShedController ctl(op, &registry, ids, cfg);
+  ShedController ctl(op, ids, cfg);
+  TelemetrySampler sampler(&registry);
+  sampler.Attach(&ctl);
   uint64_t backlog = 0;
-  ctl.SetBacklogSource([&backlog] { return backlog; });
+  sampler.SetBacklogSource([&backlog] { return backlog; });
 
-  EXPECT_EQ(ctl.TickNow(0), kExact);
+  sampler.SampleNow(0);
+  EXPECT_EQ(ctl.rate_ppm(), kExact);
   backlog = 500;
-  EXPECT_EQ(ctl.TickNow(1000), kExact / 2);
+  sampler.SampleNow(1000);
+  EXPECT_EQ(ctl.rate_ppm(), kExact / 2);
   backlog = 0;
   uint32_t rate = kExact / 2;
   for (int i = 0; i < 20 && rate != kExact; ++i) {
-    rate = ctl.TickNow(2000 + static_cast<uint64_t>(i) * 1000);
+    sampler.SampleNow(2000 + static_cast<uint64_t>(i) * 1000);
+    rate = ctl.rate_ppm();
   }
   EXPECT_EQ(rate, kExact);
   ASSERT_GE(op.rates.size(), 2u);
@@ -281,10 +292,12 @@ TEST(ShedController, RejectedRequestIsLoggedNotCounted) {
   cfg.enter_backlog = 100;
   cfg.overload_ticks = 1;
   cfg.cooldown_ticks = 0;
-  ShedController ctl(op, &registry, ids, cfg);
-  ctl.SetBacklogSource([] { return uint64_t{500}; });
-  ctl.TickNow(0);
-  ctl.TickNow(1000);
+  ShedController ctl(op, ids, cfg);
+  TelemetrySampler sampler(&registry);
+  sampler.Attach(&ctl);
+  sampler.SetBacklogSource([] { return uint64_t{500}; });
+  sampler.SampleNow(0);
+  sampler.SampleNow(1000);
   ASSERT_FALSE(ctl.log().empty());
   EXPECT_FALSE(ctl.log()[0].accepted);
   EXPECT_EQ(ctl.rate_changes(), 0u);
@@ -430,9 +443,12 @@ TEST(ShedPropagation, SkippedProbesShowUpInTelemetry) {
 
 /// A stream engineered for tight variance bounds: `keys` join keys, each
 /// with exactly 4 R-tuples first, then `s_per_key` S-tuples (shuffled
-/// within each phase). Pushing all R before any S means every R-probe
-/// matches nothing and every S-probe matches at most 4 stored R-tuples —
-/// the per-probe match count that drives the Bernstein bound.
+/// within each phase). Storing all R before any S probes (a quiescent
+/// barrier after the first 4 * keys tuples: ordering is per edge only, so
+/// without it an R-tuple routed by a slower reshuffler could probe hundreds
+/// of stored S-tuples) means every R-probe matches nothing and every
+/// S-probe matches at most 4 stored R-tuples — the per-probe match count
+/// that drives the Bernstein bound.
 std::vector<StreamTuple> MakeBoundedMatchStream(int64_t keys,
                                                 uint64_t s_per_key,
                                                 uint64_t seed) {
@@ -550,7 +566,13 @@ TEST(ShedStatistics, WeightedPerKeyEstimatesWithinConfidenceBounds) {
             },
             10000));
       }
-      for (const StreamTuple& t : stream) op.Push(t);
+      for (size_t i = 0; i < stream.size(); ++i) {
+        if (i == static_cast<size_t>(kKeys) * 4) {  // R phase stored
+          op.FlushInput();
+          engine->WaitQuiescent();
+        }
+        op.Push(stream[i]);
+      }
       op.SendEos();
       engine->WaitQuiescent();
 
@@ -655,7 +677,9 @@ TEST(ShedLoop, ControllerShedsAndRecoversLiveDataflow) {
   ThreadEngine engine{ExchangeConfig{}};
   MetricsRegistry registry;
   Dataflow df(engine);
-  df.SetTelemetry(&registry, &trace);
+  TelemetrySampler::Options loop;
+  loop.period_us = 500;
+  df.SetTelemetry(&registry, &trace, loop);
   OperatorConfig cfg;
   cfg.spec = spec;
   cfg.machines = 4;
@@ -673,15 +697,13 @@ TEST(ShedLoop, ControllerShedsAndRecoversLiveDataflow) {
   sc.overload_ticks = 1;
   sc.recover_ticks = 1;
   sc.cooldown_ticks = 0;
-  ShedController::Options opts;
-  opts.period_us = 500;
-  ShedController& ctl = df.SetShedding(join, sc, opts);
+  ShedController& ctl = df.AttachShedding(join, sc);
   std::atomic<uint64_t> backlog{0};
-  ctl.SetBacklogSource(
+  df.sampler().SetBacklogSource(
       [&backlog] { return backlog.load(std::memory_order_relaxed); });
 
   engine.Start();
-  df.StartShedding();
+  df.sampler().Start();
   JoinOperator& op = df.join(join);
   const size_t half = stream.size() / 2;
   for (size_t i = 0; i < half; ++i) op.Push(stream[i]);
@@ -694,7 +716,7 @@ TEST(ShedLoop, ControllerShedsAndRecoversLiveDataflow) {
   // Recovery: backlog drained, the controller restores exactness.
   backlog.store(0, std::memory_order_relaxed);
   EXPECT_TRUE(PollUntil([&] { return ctl.rate_ppm() == kExact; }, 15000));
-  df.StopShedding();
+  df.sampler().Stop();
   df.SendEos();
   engine.WaitQuiescent();
 

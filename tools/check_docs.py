@@ -22,6 +22,10 @@
    src/runtime/metrics_registry.h and TraceRing in src/common/trace_ring.h
    (threading rules of the observability plane: who may publish, who may
    read, what is lock-free). An undocumented method is a contract hole.
+4. Every *.md file named in a code comment under src/, bench/, tests/,
+   tools/ or examples/ (`//` comments in C++, `#` comments in Python) must
+   exist, relative to the repo root or to the citing file, so a comment
+   never points readers at a document that is not there.
 
 Exit code 0 = clean; 1 = findings (printed one per line).
 """
@@ -53,6 +57,35 @@ def check_links():
             if not resolved.exists():
                 errors.append(
                     f"{path.relative_to(REPO)}: broken link '{target}'")
+    return errors
+
+
+COMMENT_DOC_DIRS = ("src", "bench", "tests", "tools", "examples")
+MD_NAME_RE = re.compile(r"\b\w[\w./-]*\.md\b")
+
+
+def check_comment_doc_references():
+    """Every *.md name in a code comment must resolve to an existing file."""
+    errors = []
+    for top in COMMENT_DOC_DIRS:
+        for path in sorted((REPO / top).glob("**/*")):
+            if path.suffix in (".cc", ".h"):
+                marker = "//"
+            elif path.suffix == ".py":
+                marker = "#"
+            else:
+                continue
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for idx, line in enumerate(lines):
+                if marker not in line:
+                    continue
+                comment = line.split(marker, 1)[1]
+                for name in MD_NAME_RE.findall(comment):
+                    if not ((REPO / name).exists()
+                            or (path.parent / name).exists()):
+                        errors.append(
+                            f"{path.relative_to(REPO)}:{idx + 1}: comment "
+                            f"cites missing document '{name}'")
     return errors
 
 
@@ -209,7 +242,8 @@ def check_api_doc_comments():
 
 def main():
     errors = (check_links() + check_onbatch_doc_comments()
-              + check_api_doc_comments() + check_free_function_doc_comments())
+              + check_api_doc_comments() + check_free_function_doc_comments()
+              + check_comment_doc_references())
     for error in errors:
         print(error)
     if errors:
