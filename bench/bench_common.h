@@ -1,8 +1,8 @@
 // Shared helpers for the paper-reproduction benches: default cost-model
 // calibration, operator runners, and table formatting.
 //
-// Scale substitution (see ARCHITECTURE.md, "Benchmarks"): dataset sizes are the
-// paper's "GB" with kRowsPerGb lineitem rows per GB (TPC-H has ~6M/GB; we
+// Scale substitution (see ARCHITECTURE.md, "Benchmarks"): dataset sizes are
+// the paper's "GB" with kRowsPerGb lineitem rows per GB (TPC-H has ~6M/GB; we
 // default to 100k/GB, a 60x row subsample). The cost model's time_scale is
 // calibrated so that Table 2's Dynamic/EQ5/Z0 run lands in the paper's
 // magnitude; all comparisons are shape-level, not absolute.

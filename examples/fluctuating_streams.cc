@@ -12,13 +12,14 @@
 // it).
 //
 // `--autoscale <path>` runs the CI surge smoke instead: a threaded run whose
-// telemetry sampler loop ticks an AutoscaleController that must grow on the surge and shrink once
-// the stream goes silent, exporting telemetry whose trace carries both
-// scale events (validate_telemetry.py --require-scale-events enforces it).
+// telemetry sampler loop ticks an AutoscaleController that must grow on the
+// surge and shrink once the stream goes silent, exporting telemetry whose
+// trace carries both scale events (validate_telemetry.py
+// --require-scale-events enforces it).
 //
 // `--shed <path>` runs the CI overload smoke: a threaded run whose sampler
-// loop ticks a ShedController that must back the probe-admission rate off when the
-// ingress backlog gauge spikes and restore exactness once it drains,
+// loop ticks a ShedController that must back the probe-admission rate off
+// when the ingress backlog gauge spikes and restore exactness once it drains,
 // exporting telemetry whose trace carries shed events and whose samples
 // show joiners at a sampled rate (validate_telemetry.py
 // --require-shed-events enforces it).
@@ -56,9 +57,10 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
 }
 
 // Surge smoke (--autoscale): an AutoscaleController on the sampler loop of
-// the threaded engine grows the grid under the input surge and folds it back once the
-// stream goes silent; the telemetry export must carry both scale trace
-// events. Exits nonzero if either scale direction never happened.
+// the threaded engine grows the grid under the input surge and folds it
+// back once the stream goes silent; the telemetry export must carry both
+// scale trace events. Exits nonzero if either scale direction never
+// happened.
 int RunAutoscaleExport(const char* path) {
   Workload w = Workload::Synthetic(/*r_count=*/3000, /*s_count=*/9000,
                                    24, 24, /*key_domain=*/4000,
@@ -140,10 +142,10 @@ int RunAutoscaleExport(const char* path) {
 }
 
 // Overload smoke (--shed): a ShedController on the sampler loop of the
-// threaded engine backs the admission rate off when the ingress backlog gauge spikes
-// mid-stream and walks it back to exact once the backlog drains; the
-// telemetry export must carry shed trace events and mid-shed joiner
-// samples. Exits nonzero if either transition never happened.
+// threaded engine backs the admission rate off when the ingress backlog
+// gauge spikes mid-stream and walks it back to exact once the backlog
+// drains; the telemetry export must carry shed trace events and mid-shed
+// joiner samples. Exits nonzero if either transition never happened.
 int RunShedExport(const char* path) {
   Workload w = Workload::Synthetic(/*r_count=*/4000, /*s_count=*/12000,
                                    24, 24, /*key_domain=*/4000,

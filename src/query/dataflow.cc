@@ -141,9 +141,9 @@ TelemetrySampler& Dataflow::sampler() {
   return *sampler_;
 }
 
-Dataflow::Stage& Dataflow::ControlledStage(int handle, const char* what) {
+Dataflow::Stage& Dataflow::ControlledStage(int handle) {
   AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  what);
+                  "controller: unknown stage");
   Stage& stage = stages_[static_cast<size_t>(handle)];
   AJOIN_CHECK_MSG(stage.op != nullptr, "controller: not a join stage");
   AJOIN_CHECK_MSG(stage.registry != nullptr && stage.registry == registry_,
@@ -154,7 +154,7 @@ Dataflow::Stage& Dataflow::ControlledStage(int handle, const char* what) {
 
 AutoscaleController& Dataflow::AttachAutoscale(int handle,
                                                AutoscaleConfig config) {
-  Stage& stage = ControlledStage(handle, "AttachAutoscale: unknown stage");
+  Stage& stage = ControlledStage(handle);
   AJOIN_CHECK_MSG(stage.autoscale == nullptr,
                   "AttachAutoscale: stage already has a controller");
   stage.autoscale = std::make_unique<AutoscaleController>(
@@ -173,7 +173,7 @@ AutoscaleController& Dataflow::autoscale(int handle) {
 }
 
 ShedController& Dataflow::AttachShedding(int handle, ShedConfig config) {
-  Stage& stage = ControlledStage(handle, "AttachShedding: unknown stage");
+  Stage& stage = ControlledStage(handle);
   AJOIN_CHECK_MSG(stage.shed == nullptr,
                   "AttachShedding: stage already has a shed controller");
   stage.shed = std::make_unique<ShedController>(

@@ -218,8 +218,8 @@ class Dataflow {
   };
 
   // Checks that `handle` is a join stage on the dataflow's registry that
-  // can take a controller; `what` names the caller in failure messages.
-  Stage& ControlledStage(int handle, const char* what);
+  // can take a controller.
+  Stage& ControlledStage(int handle);
 
   Engine& engine_;
   MetricsRegistry* registry_ = nullptr;  // stamped into AddJoin configs
