@@ -14,13 +14,18 @@
 namespace ajoin {
 namespace {
 
+// gtest prints a parameter's raw bytes into each test's name, so the
+// struct has no padding: every byte is a field and the names are stable.
+// The 8-byte `machines` and `r_first` keep the 40-byte layout the names
+// have always shown.
 struct SweepParam {
-  uint32_t machines;
+  uint64_t machines;
   double epsilon;
   double skew_to_zero;
-  bool r_first;
+  uint64_t r_first;
   uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 5 * 8, "SweepParam must have no padding");
 
 class OperatorSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -59,7 +64,7 @@ TEST_P(OperatorSweep, ExactOutput) {
   SimEngine engine;
   OperatorConfig cfg;
   cfg.spec = MakeEquiJoin(0, 0);
-  cfg.machines = p.machines;
+  cfg.machines = static_cast<uint32_t>(p.machines);
   cfg.adaptive = true;
   cfg.epsilon = p.epsilon;
   cfg.min_total_before_adapt = 8;

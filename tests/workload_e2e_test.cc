@@ -24,11 +24,14 @@ TpchConfig TinyConfig() {
   return cfg;
 }
 
+// gtest prints a parameter's raw bytes into each test's name, so the
+// struct has no padding (a 4-byte `adaptive`) and the names are stable.
 struct E2EParam {
   QueryId query;
   uint32_t machines;
-  bool adaptive;
+  uint32_t adaptive;
 };
+static_assert(sizeof(E2EParam) == 3 * 4, "E2EParam must have no padding");
 
 class WorkloadE2E : public ::testing::TestWithParam<E2EParam> {};
 
